@@ -14,6 +14,8 @@ from .core_model import (
     angles_of,
     chebyshev_T,
     chebyshev_residuals,
+    error_bound,
+    failure_kernel,
     failure_probabilities,
     half_angle,
     make_instance,

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any, Iterable, Sequence, TextIO
 
-from .core_model import angles_of, make_instance
+from .core_model import angles_of, error_bound, failure_probabilities, make_instance
 from .diophantine import (
     default_horizon,
     minimal_odd_l,
@@ -100,7 +102,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_range(spec: str) -> range:
@@ -116,87 +118,29 @@ def _parse_range(spec: str) -> range:
     raise ValueError(f"bad range spec {spec!r}; expected START:STOP[:STEP]")
 
 
-def _error_bound(epsilon: float) -> float:
-    return math.sin(2.0 * math.pi * epsilon) ** 2
-
-
-def _instance_json(instance) -> dict:
-    return {
-        "N": instance.N,
-        "M": instance.M,
-        "K": instance.K,
-        "strict_regime": instance.strict_regime,
-    }
-
-
-def _applicability_json(app) -> dict:
-    return {
-        "ordering_ok": app.ordering_ok,
-        "size_condition_ok": app.size_condition_ok,
-        "gamma_small_ok": app.gamma_small_ok,
-        "epsilon_bound": app.epsilon_bound,
-        "all_ok": app.all_ok,
-    }
-
-
-def _rule_json(rule) -> dict:
-    return {
-        "p": rule.p,
-        "s": rule.s,
-        "l": rule.l,
-        "m": rule.m,
-        "residual_K": rule.residual_K,
-        "residual_M": rule.residual_M,
-        "l_bound": rule.l_bound,
-        "m_bound": rule.m_bound,
-    }
-
-
-def _certificate_json(cert) -> dict:
-    return {
-        "epsilon": cert.epsilon,
-        "error_bound": cert.error_bound,
-        "fail_K": cert.fail_K,
-        "fail_M": cert.fail_M,
-        "l_odd": cert.l_odd,
-        "residual_K_ok": cert.residual_K_ok,
-        "residual_M_ok": cert.residual_M_ok,
-        "epsilon_covers_gamma": cert.epsilon_covers_gamma,
-        "fail_K_ok": cert.fail_K_ok,
-        "fail_M_ok": cert.fail_M_ok,
-        "l_within_bound": cert.l_within_bound,
-        "certified": cert.certified,
-    }
-
-
-def _search_json(report) -> dict:
-    return {
-        "found": report.found,
-        "l": report.l,
-        "score": report.score,
-        "fail_K": report.fail_K,
-        "fail_M": report.fail_M,
-        "horizon": report.horizon,
-        "mode": report.mode,
-        "threshold": report.threshold,
-    }
+def _as_json(obj) -> dict:
+    """A report dataclass as a JSON object, plus its computed flag if it has one."""
+    out = asdict(obj)
+    for flag in ("all_ok", "certified"):
+        if hasattr(obj, flag):
+            out[flag] = getattr(obj, flag)
+    return out
 
 
 def cmd_rule(args: argparse.Namespace) -> int:
     instance = make_instance(args.N, args.M, args.K)
+    bound = error_bound(args.epsilon)
     app = check_applicability(instance)
     report: dict[str, Any] = {
-        "instance": _instance_json(instance),
-        "applicability": _applicability_json(app),
+        "instance": _as_json(instance),
+        "applicability": _as_json(app),
         "epsilon": args.epsilon,
     }
     if instance.M == 0:
         # Degenerate hypothesis pair (0 vs K): plain Grover, answered by search.
-        search = minimal_odd_l(
-            angles_of(instance), _error_bound(args.epsilon), default_horizon(instance)
-        )
+        search = minimal_odd_l(angles_of(instance), bound, default_horizon(instance))
         report["path"] = "plain-grover"
-        report["search"] = _search_json(search)
+        report["search"] = _as_json(search)
         _emit(_json_dump(report), args.out)
         return EXIT_OK
     report["path"] = "constructive"
@@ -213,8 +157,8 @@ def cmd_rule(args: argparse.Namespace) -> int:
         report["error"] = str(exc)
         _emit(_json_dump(report), args.out)
         return EXIT_NOT_APPLICABLE
-    report["rule"] = _rule_json(rule)
-    report["certificate"] = _certificate_json(certify(rule, instance, args.epsilon))
+    report["rule"] = _as_json(rule)
+    report["certificate"] = _as_json(certify(rule, instance, args.epsilon))
     _emit(_json_dump(report), args.out)
     return EXIT_OK
 
@@ -224,7 +168,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
     report = minimal_odd_l(angles_of(instance), args.tol, horizon, args.mode)
     _emit(
-        _json_dump({"instance": _instance_json(instance), "search": _search_json(report)}),
+        _json_dump({"instance": _as_json(instance), "search": _as_json(report)}),
         args.out,
     )
     return EXIT_OK
@@ -247,8 +191,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                 "relaxed_score": relaxed_score(l, angles),
             }
         )
-    import io
-
     buf = io.StringIO()
     _write_csv(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows, buf)
     _emit(buf.getvalue(), args.out)
@@ -284,13 +226,11 @@ def build_table_row(
     scan_horizon = horizon if horizon is not None else default_horizon(instance)
     if row["l_constructive"] is not None:
         scan_horizon = max(scan_horizon, row["l_constructive"])
-    search = minimal_odd_l(angles, _error_bound(epsilon), scan_horizon)
+    search = minimal_odd_l(angles, error_bound(epsilon), scan_horizon)
     if search.found:
         row["l_minimal"] = search.l
         row["fail_K"], row["fail_M"] = search.fail_K, search.fail_M
     elif row["l_constructive"] is not None:
-        from .core_model import failure_probabilities
-
         fails = failure_probabilities(row["l_constructive"], angles)
         row["fail_K"], row["fail_M"] = fails.fail_K, fails.fail_M
     return row
@@ -334,8 +274,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json_dump(rows), args.out)
     else:
-        import io
-
         buf = io.StringIO()
         _write_csv(TABLE_FIELDS, rows, buf)
         _emit(buf.getvalue(), args.out)
@@ -354,27 +292,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         outcome = run_discrimination(
             instance, truth, args.l, args.trials, args.seed, args.epsilon
         )
-        outcomes[truth] = {
-            "truth": outcome.truth,
-            "trials": outcome.trials,
-            "errors": outcome.errors,
-            "empirical_error": outcome.empirical_error,
-            "bound": outcome.bound,
-            "seed": outcome.seed,
-        }
-    from .core_model import failure_probabilities
-
-    fails = failure_probabilities(args.l, angles_of(instance))
+        outcomes[truth] = _as_json(outcome)
+    expected = failure_probabilities(args.l, angles_of(instance))
     _emit(
         _json_dump(
             {
-                "instance": _instance_json(instance),
+                "instance": _as_json(instance),
                 "l": args.l,
                 "trials": args.trials,
                 "seed": args.seed,
                 "epsilon": args.epsilon,
                 "rng_algorithm": RNG_ALGORITHM,
-                "expected": {"fail_K": fails.fail_K, "fail_M": fails.fail_M},
+                "expected": _as_json(expected),
                 "outcomes": outcomes,
             }
         ),
@@ -385,27 +314,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_pad(args: argparse.Namespace) -> int:
     padded = pad_for_ratio(args.M, args.N, args.a, args.epsilon)
-    _emit(
-        _json_dump(
-            {
-                "r": padded.r,
-                "M_prime": padded.M_prime,
-                "K_prime": padded.K_prime,
-                "N_prime": padded.N_prime,
-                "original": _instance_json(padded.original),
-                "gamma_prime": padded.gamma_prime,
-                "gamma_prime_lower": padded.gamma_prime_lower,
-                "gamma_gap_ok": padded.gamma_gap_ok,
-                "size_condition_ok": padded.size_condition_ok,
-                "m_bound_padded": padded.m_bound_padded,
-            }
-        ),
-        args.out,
-    )
+    _emit(_json_dump(_as_json(padded)), args.out)
     return EXIT_OK
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    bound = error_bound(args.epsilon)
     entries = []
     for m in _parse_range(args.M_range):
         for k in _parse_range(args.K_range):
@@ -413,9 +327,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 continue
             instance = make_instance(args.N, m, k)
             horizon = args.horizon if args.horizon is not None else default_horizon(instance)
-            search = minimal_odd_l(
-                angles_of(instance), _error_bound(args.epsilon), horizon
-            )
+            search = minimal_odd_l(angles_of(instance), bound, horizon)
             l_bound = iteration_bound(instance).l_bound
             # Exhausted scans get their lower-bound ratio from the horizon itself.
             ratio = (search.l if search.found else search.horizon) / l_bound

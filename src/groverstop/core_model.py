@@ -14,8 +14,11 @@ repo never comes close to that limit.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ProblemInstance",
@@ -26,7 +29,9 @@ __all__ = [
     "half_angle",
     "angles_of",
     "state_after",
+    "failure_kernel",
     "failure_probabilities",
+    "error_bound",
     "chebyshev_T",
     "chebyshev_residuals",
 ]
@@ -72,15 +77,23 @@ class FailurePair:
     fail_M: float
 
 
+def _as_int(name: str, value) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def make_instance(N: int, M: int, K: int) -> ProblemInstance:
     """Validate a (N, M, K) triple and flag the strict M < K < N/2 regime.
 
     Triples outside the strict regime (K >= N/2) are accepted but flagged;
-    only 0 <= M < K <= N with N >= 1 is enforced.
+    only 0 <= M < K <= N with N >= 1 is enforced.  Any integer type (numpy
+    integers included) is accepted and stored as a Python int; bool is not.
     """
-    for name, value in (("N", N), ("M", M), ("K", K)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    N, M, K = _as_int("N", N), _as_int("M", M), _as_int("K", K)
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if M < 0:
@@ -117,6 +130,21 @@ def state_after(m: int, theta: float) -> SubspaceState:
     return SubspaceState(alpha_amp=math.cos(phase), beta_amp=math.sin(phase))
 
 
+def failure_kernel(l, angles: GroverAngles):
+    """(fail_K, fail_M) = (cos^2(l*theta_K/2), sin^2(l*theta_M/2)) at stopping time l.
+
+    The one implementation of the failure pair.  A scalar l gives two Python
+    floats (numpy on a scalar agrees with libm bit for bit); an array of l
+    gives two arrays, whose vectorised trig may differ in the last ulp.  No
+    parity check: this sits on the scan's hot path.
+    """
+    fail_K = np.cos(0.5 * l * angles.theta_K) ** 2
+    fail_M = np.sin(0.5 * l * angles.theta_M) ** 2
+    if np.ndim(fail_K) == 0:
+        return float(fail_K), float(fail_M)
+    return fail_K, fail_M
+
+
 def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
     """Both failure probabilities after m = (l-1)/2 iterations.
 
@@ -126,10 +154,18 @@ def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
     """
     if l % 2 == 0:
         warnings.warn(f"failure_probabilities called with even l={l}", stacklevel=2)
-    return FailurePair(
-        fail_K=math.cos(0.5 * l * angles.theta_K) ** 2,
-        fail_M=math.sin(0.5 * l * angles.theta_M) ** 2,
-    )
+    fail_K, fail_M = failure_kernel(l, angles)
+    return FailurePair(fail_K=fail_K, fail_M=fail_M)
+
+
+def error_bound(epsilon: float) -> float:
+    """sin^2(2*pi*epsilon), the failure probability an epsilon-neighborhood allows.
+
+    The one place epsilon is validated: it must be finite and lie in (0, 1).
+    """
+    if not 0.0 < epsilon < 1.0:  # also false for NaN
+        raise ValueError(f"epsilon must be finite and lie in (0, 1), got {epsilon}")
+    return math.sin(2.0 * math.pi * epsilon) ** 2
 
 
 def chebyshev_T(l: int, x: float) -> float:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .core_model import GroverAngles, ProblemInstance, angles_of, half_angle
+from .core_model import GroverAngles, ProblemInstance, failure_kernel, half_angle
+from .transforms import iteration_bound
 
 __all__ = [
     "TorusPoint",
@@ -92,10 +93,10 @@ class SearchReport:
     threshold: float
 
 
-def circle_distance(a: float, b: float) -> float:
-    """Wrap-around distance on the unit circle."""
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def circle_distance(a, b):
+    """Wrap-around distance on the unit circle, elementwise on arrays."""
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def torus_point(l: int, angles: GroverAngles) -> TorusPoint:
@@ -112,39 +113,51 @@ def torus_point(l: int, angles: GroverAngles) -> TorusPoint:
 
 def strict_distance(pt: TorusPoint) -> float:
     """L-infinity circle distance of the orbit point to the target (1/4, 0)."""
-    return max(circle_distance(pt.x_K, 0.25), circle_distance(pt.x_M, 0.0))
+    return float(max(circle_distance(pt.x_K, 0.25), circle_distance(pt.x_M, 0.0)))
 
 
 def relaxed_score(l: int, angles: GroverAngles) -> float:
     """Worst-case failure probability at stopping time l over both hypotheses."""
     if l % 2 == 0:
         raise ValueError(f"l must be odd, got {l}")
-    return max(
-        math.cos(0.5 * l * angles.theta_K) ** 2,
-        math.sin(0.5 * l * angles.theta_M) ** 2,
-    )
+    return max(failure_kernel(l, angles))
 
 
 def default_horizon(instance: ProblemInstance) -> int:
     """10x the constructive bound 4*sqrt(N)/(sqrt(K)-sqrt(M)), odd, capped."""
-    l_bound = 4.0 * math.sqrt(instance.N) / (
-        math.sqrt(instance.K) - math.sqrt(instance.M)
-    )
-    horizon = math.ceil(10.0 * l_bound)
+    horizon = math.ceil(10.0 * iteration_bound(instance).l_bound)
     horizon += 1 - horizon % 2
     return min(horizon, HORIZON_CAP)
 
 
 def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.ndarray:
     if mode == "relaxed":
-        return np.maximum(
-            np.cos(0.5 * ls * angles.theta_K) ** 2,
-            np.sin(0.5 * ls * angles.theta_M) ** 2,
-        )
+        return np.maximum(*failure_kernel(ls, angles))
     four_pi = 4.0 * math.pi
-    d_K = np.abs(ls * (angles.theta_K / four_pi) - 0.25) % 1.0
-    d_M = np.abs(ls * (angles.theta_M / four_pi)) % 1.0
-    return np.maximum(np.minimum(d_K, 1.0 - d_K), np.minimum(d_M, 1.0 - d_M))
+    return np.maximum(
+        circle_distance(ls * (angles.theta_K / four_pi), 0.25),
+        circle_distance(ls * (angles.theta_M / four_pi), 0.0),
+    )
+
+
+def _first_hit(
+    step: int,
+    horizon: int,
+    score: Callable[[np.ndarray], np.ndarray],
+    accept: Callable[[np.ndarray], np.ndarray],
+) -> tuple[int, float] | None:
+    """First l in 1, 1+step, ... <= horizon whose score is accepted, with that score.
+
+    Scans SCAN_CHUNK values of l at a time; None when the horizon is exhausted.
+    """
+    for start in range(1, horizon + 1, step * SCAN_CHUNK):
+        stop = min(start + step * SCAN_CHUNK, horizon + 1)
+        ls = np.arange(start, stop, step, dtype=np.float64)
+        scores = score(ls)
+        hits = np.nonzero(accept(scores))[0]
+        if hits.size:
+            return int(ls[hits[0]]), float(scores[hits[0]])
+    return None
 
 
 def minimal_odd_l(
@@ -162,29 +175,20 @@ def minimal_odd_l(
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    for start in range(1, horizon + 1, 2 * SCAN_CHUNK):
-        stop = min(start + 2 * SCAN_CHUNK, horizon + 1)
-        ls = np.arange(start, stop, 2, dtype=np.float64)
-        scores = _chunk_scores(ls, angles, mode)
-        hits = np.nonzero(scores <= threshold)[0]
-        if hits.size:
-            l = int(ls[hits[0]])
-            return SearchReport(
-                found=True,
-                l=l,
-                score=float(scores[hits[0]]),
-                fail_K=math.cos(0.5 * l * angles.theta_K) ** 2,
-                fail_M=math.sin(0.5 * l * angles.theta_M) ** 2,
-                horizon=horizon,
-                mode=mode,
-                threshold=threshold,
-            )
+    hit = _first_hit(
+        2,
+        horizon,
+        lambda ls: _chunk_scores(ls, angles, mode),
+        lambda scores: scores <= threshold,
+    )
+    l, score = hit if hit else (None, None)
+    fail_K, fail_M = failure_kernel(l, angles) if hit else (None, None)
     return SearchReport(
-        found=False,
-        l=None,
-        score=None,
-        fail_K=None,
-        fail_M=None,
+        found=hit is not None,
+        l=l,
+        score=score,
+        fail_K=fail_K,
+        fail_M=fail_M,
         horizon=horizon,
         mode=mode,
         threshold=threshold,
@@ -201,20 +205,20 @@ def kronecker_search(target: KroneckerTarget, horizon: int) -> KroneckerHit | No
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     xis = np.asarray(target.xis, dtype=np.float64)
     etas = np.asarray(target.etas, dtype=np.float64)
-    step = 2 if target.parity == "odd" else 1
-    for start in range(1, horizon + 1, step * SCAN_CHUNK):
-        stop = min(start + step * SCAN_CHUNK, horizon + 1)
-        ls = np.arange(start, stop, step, dtype=np.float64)
+
+    def worst_residual(ls: np.ndarray) -> np.ndarray:
         raw = ls[:, None] * xis[None, :] - etas[None, :]
-        residuals = np.abs(raw - np.round(raw))
-        ok = np.nonzero(np.all(residuals < target.epsilon, axis=1))[0]
-        if ok.size:
-            l = int(ls[ok[0]])
-            p_list = tuple(
-                int(round(l * xi - eta)) for xi, eta in zip(target.xis, target.etas)
-            )
-            return KroneckerHit(l=l, p_list=p_list)
-    return None
+        return np.abs(raw - np.round(raw)).max(axis=1)
+
+    step = 2 if target.parity == "odd" else 1
+    hit = _first_hit(
+        step, horizon, worst_residual, lambda worst: worst < target.epsilon
+    )
+    if hit is None:
+        return None
+    l = hit[0]
+    p_list = tuple(int(round(l * xi - eta)) for xi, eta in zip(target.xis, target.etas))
+    return KroneckerHit(l=l, p_list=p_list)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .core_model import ProblemInstance
+from .core_model import ProblemInstance, error_bound
 
 __all__ = [
     "FULL_SIM_CAP",
@@ -136,6 +136,7 @@ def run_discrimination(
             f"N={instance.N} exceeds the full-simulation cap {FULL_SIM_CAP}; "
             "use the subspace model instead"
         )
+    bound = error_bound(epsilon)
     size = instance.M if truth == "M" else instance.K
     m = (l - 1) // 2
     base = simulate(instance.N, range(size), m)
@@ -148,7 +149,6 @@ def run_discrimination(
         decided: Truth = "K" if canonical_index < size else "M"
         if decided != truth:
             errors += 1
-    bound = float(np.sin(2.0 * np.pi * epsilon) ** 2)
     return DiscriminationOutcome(
         truth=truth,
         trials=trials,

@@ -20,12 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_model import (
-    GroverAngles,
-    ProblemInstance,
-    angles_of,
-    failure_probabilities,
-)
+from .core_model import ProblemInstance, angles_of, error_bound, failure_kernel
+from .transforms import iteration_bound
 
 __all__ = [
     "Applicability",
@@ -149,12 +145,6 @@ def nearest_odd(x: float) -> int:
     return lower if x - lower <= upper - x else upper
 
 
-def _iteration_bounds(instance: ProblemInstance) -> tuple[float, float]:
-    gap = math.sqrt(instance.K) - math.sqrt(instance.M)
-    root_n = math.sqrt(instance.N)
-    return 2.0 * root_n / gap, 4.0 * root_n / gap
-
-
 def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> StoppingRule:
     """Build the stopping rule (p, s, l, m) with its inequality residuals.
 
@@ -181,7 +171,7 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
     s = nearest_odd(4.0 * math.pi / angles.theta_M)
     l = p * s
     four_pi = 4.0 * math.pi
-    m_bound, l_bound = _iteration_bounds(instance)
+    bounds = iteration_bound(instance)
     return StoppingRule(
         p=p,
         s=s,
@@ -189,8 +179,8 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
         m=(l - 1) // 2,
         residual_K=abs(l * angles.theta_K / four_pi - p - 0.25),
         residual_M=abs(l * angles.theta_M / four_pi - p),
-        l_bound=l_bound,
-        m_bound=m_bound,
+        l_bound=bounds.l_bound,
+        m_bound=bounds.m_bound,
     )
 
 
@@ -208,24 +198,19 @@ def certify(
     if angles.gamma is None:
         raise DegenerateM("cannot certify against an instance with M = 0")
     excess = angles.gamma - 1.0
-    error_bound = math.sin(2.0 * math.pi * epsilon) ** 2
-    fails = failure_probabilities(rule.l, angles) if rule.l % 2 == 1 else None
-    if fails is None:
-        # Even l is a malformed rule; compute the values anyway, without the warning.
-        fail_K = math.cos(0.5 * rule.l * angles.theta_K) ** 2
-        fail_M = math.sin(0.5 * rule.l * angles.theta_M) ** 2
-    else:
-        fail_K, fail_M = fails.fail_K, fails.fail_M
+    bound = error_bound(epsilon)
+    # An even l is a malformed rule; l_odd reports it, so no warning here.
+    fail_K, fail_M = failure_kernel(rule.l, angles)
     return CertificateReport(
         epsilon=epsilon,
-        error_bound=error_bound,
+        error_bound=bound,
         fail_K=fail_K,
         fail_M=fail_M,
         l_odd=rule.l % 2 == 1,
         residual_K_ok=rule.residual_K < 2.0 * excess,
         residual_M_ok=rule.residual_M < excess,
         epsilon_covers_gamma=2.0 * excess <= epsilon,
-        fail_K_ok=fail_K < error_bound,
-        fail_M_ok=fail_M < error_bound,
+        fail_K_ok=fail_K < bound,
+        fail_M_ok=fail_M < bound,
         l_within_bound=rule.l <= rule.l_bound,
     )

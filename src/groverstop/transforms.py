@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_model import ProblemInstance, angles_of, make_instance
+from .core_model import ProblemInstance, angles_of, error_bound, make_instance
 
 __all__ = [
     "PaddedInstance",
@@ -93,15 +93,15 @@ def pad_for_ratio(
 ) -> PaddedInstance:
     """Pad (M, a*M, N) so the shrunken ratio K'/M' admits the constructive rule.
 
-    Requires M >= 1, a*M integral with a*M <= N/2, epsilon in (0, 1), and the
-    premise sqrt(M/N) < (2*epsilon/3)^2 (otherwise PremiseViolated).
+    Requires M >= 1, a finite ratio a > 1 with a*M integral and a*M <= N/2,
+    epsilon in (0, 1), and the premise sqrt(M/N) < (2*epsilon/3)^2 (otherwise
+    PremiseViolated).
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if a <= 1.0:
-        raise ValueError(f"ratio a must exceed 1, got {a}")
+    error_bound(epsilon)  # validates epsilon
+    if not 1.0 < a < math.inf:
+        raise ValueError(f"ratio a must be finite and exceed 1, got {a}")
     K = a * M
     K_int = round(K)
     if abs(K - K_int) > 1e-9:

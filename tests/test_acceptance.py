@@ -152,9 +152,9 @@ def test_criterion_4_monte_carlo_reproduction():
         for truth, p in (("M", fails.fail_M), ("K", fails.fail_K)):
             outcome = run_discrimination(inst, truth, rule.l, trials, seed=2026)
             sigma = math.sqrt(p * (1.0 - p) / trials)
-            within = outcome.empirical_error <= p + 4.0 * sigma
+            within = abs(outcome.empirical_error - p) <= 4.0 * sigma
             ok &= within
-            details.append(f"{N}/{M}/{K}/{truth}:{outcome.empirical_error:.4f}<=~{p:.4f}")
+            details.append(f"{N}/{M}/{K}/{truth}:{outcome.empirical_error:.4f}~={p:.4f}")
     exact = make_instance(4, 0, 1)
     for truth in ("M", "K"):
         outcome = run_discrimination(exact, truth, 3, trials, seed=2026)

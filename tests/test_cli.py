@@ -242,3 +242,120 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(out_file.read_text())["search"]["l"] == 3
+
+
+INSTANCE_KEYS = {"N", "M", "K", "strict_regime"}
+APPLICABILITY_KEYS = {
+    "ordering_ok", "size_condition_ok", "gamma_small_ok", "epsilon_bound", "all_ok",
+}
+SEARCH_KEYS = {"found", "l", "score", "fail_K", "fail_M", "horizon", "mode", "threshold"}
+
+
+class TestJsonKeys:
+    """The key sets of every JSON report, pinned so serialization cannot drift."""
+
+    def test_rule_constructive(self, capsys):
+        code, out = run_cli(capsys, "rule", "--N", "65536", "--M", "12", "--K", "13")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {
+            "instance", "applicability", "epsilon", "path", "rule", "certificate",
+        }
+        assert set(report["instance"]) == INSTANCE_KEYS
+        assert set(report["applicability"]) == APPLICABILITY_KEYS
+        assert set(report["rule"]) == {
+            "p", "s", "l", "m", "residual_K", "residual_M", "l_bound", "m_bound",
+        }
+        assert set(report["certificate"]) == {
+            "epsilon", "error_bound", "fail_K", "fail_M", "l_odd", "residual_K_ok",
+            "residual_M_ok", "epsilon_covers_gamma", "fail_K_ok", "fail_M_ok",
+            "l_within_bound", "certified",
+        }
+        assert report["rule"]["l"] == 3255 and report["certificate"]["certified"]
+
+    def test_rule_plain_grover(self, capsys):
+        code, out = run_cli(capsys, "rule", "--N", "4", "--M", "0", "--K", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"instance", "applicability", "epsilon", "path", "search"}
+        assert set(report["instance"]) == INSTANCE_KEYS
+        assert set(report["applicability"]) == APPLICABILITY_KEYS
+        assert set(report["search"]) == SEARCH_KEYS
+
+    def test_search(self, capsys):
+        code, out = run_cli(
+            capsys, "search", "--N", "4096", "--M", "8", "--K", "12", "--tol", "0.25"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"instance", "search"}
+        assert set(report["instance"]) == INSTANCE_KEYS
+        assert set(report["search"]) == SEARCH_KEYS
+
+    def test_pad(self, capsys):
+        code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {
+            "r", "M_prime", "K_prime", "N_prime", "original", "gamma_prime",
+            "gamma_prime_lower", "gamma_gap_ok", "size_condition_ok", "m_bound_padded",
+        }
+        assert set(report["original"]) == INSTANCE_KEYS
+
+    def test_experiment(self, capsys):
+        code, out = run_cli(
+            capsys, "experiment", "--N", "1024", "--M", "2", "--K", "3", "--l", "5",
+            "--trials", "20", "--seed", "0",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {
+            "instance", "l", "trials", "seed", "epsilon", "rng_algorithm", "expected",
+            "outcomes",
+        }
+        assert set(report["instance"]) == INSTANCE_KEYS
+        assert set(report["expected"]) == {"fail_K", "fail_M"}
+        assert set(report["outcomes"]) == {"M", "K"}
+        for outcome in report["outcomes"].values():
+            assert set(outcome) == {
+                "truth", "trials", "errors", "empirical_error", "bound", "seed",
+            }
+
+
+class TestBadInputIsExitOne:
+    """Out-of-range or non-finite input exits 1 and writes nothing to stdout."""
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0", "1", "inf"])
+    def test_rule_epsilon(self, capsys, epsilon):
+        code, out = run_cli(
+            capsys, "rule", "--N", "4096", "--M", "8", "--K", "9", "--epsilon", epsilon
+        )
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
+    def test_rule_epsilon_on_other_paths(self, capsys, epsilon):
+        for triple in (("4", "0", "1"), ("1048576", "740", "800")):
+            N, M, K = triple
+            code, out = run_cli(
+                capsys, "rule", "--N", N, "--M", M, "--K", K, "--epsilon", epsilon
+            )
+            assert (code, out) == (1, "")
+
+    def test_experiment_epsilon_nan(self, capsys):
+        code, out = run_cli(
+            capsys, "experiment", "--N", "1024", "--M", "2", "--K", "3", "--l", "5",
+            "--trials", "20", "--seed", "0", "--epsilon", "nan",
+        )
+        assert (code, out) == (1, "")
+
+    def test_table_epsilon_nan(self, capsys):
+        code, out = run_cli(
+            capsys, "table", "--N-range", "4096", "--M-range", "8", "--K-range", "12",
+            "--epsilon", "nan",
+        )
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("a", ["inf", "nan"])
+    def test_pad_non_finite_ratio(self, capsys, a):
+        code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)
+        assert (code, out) == (1, "")

@@ -10,6 +10,8 @@ from groverstop import (
     chebyshev_T,
     chebyshev_residuals,
     construct_rule,
+    error_bound,
+    failure_kernel,
     failure_probabilities,
     half_angle,
     make_instance,
@@ -189,3 +191,53 @@ class TestChebyshev:
             l = int(rng.integers(0, 1001))
             r1, r2 = chebyshev_residuals(l, make_instance(N, M, K))
             assert r1 <= 1e-9 and r2 <= 1e-9
+
+
+class TestIntegerTypes:
+    def test_numpy_integers_accepted_as_int(self):
+        inst = make_instance(np.int64(1024), np.int32(8), np.uint16(12))
+        assert (inst.N, inst.M, inst.K) == (1024, 8, 12)
+        assert all(type(v) is int for v in (inst.N, inst.M, inst.K))
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 4.0, "4", None])
+    def test_bool_and_non_integers_rejected(self, bad):
+        with pytest.raises(TypeError):
+            make_instance(1024, bad, 12)
+
+
+class TestErrorBound:
+    def test_worked_threshold(self):
+        assert error_bound(1.0 / 12.0) == pytest.approx(0.25, abs=1e-15)
+
+    def test_matches_formula(self):
+        for eps in (0.01, 0.1, 0.3, 0.9):
+            assert error_bound(eps) == math.sin(2.0 * math.pi * eps) ** 2
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_rejects_out_of_range_and_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            error_bound(bad)
+
+
+class TestFailureKernel:
+    def test_scalar_gives_python_floats_equal_to_libm(self):
+        ang = angles_of(make_instance(65536, 12, 13))
+        for l in (1, 3, 79, 3255, 999_999):
+            fail_K, fail_M = failure_kernel(l, ang)
+            assert type(fail_K) is float and type(fail_M) is float
+            assert fail_K == math.cos(0.5 * l * ang.theta_K) ** 2
+            assert fail_M == math.sin(0.5 * l * ang.theta_M) ** 2
+
+    def test_array_matches_scalar_closely(self):
+        ang = angles_of(make_instance(4096, 8, 12))
+        ls = np.arange(1, 2001, 2, dtype=np.float64)
+        fail_K, fail_M = failure_kernel(ls, ang)
+        assert fail_K.shape == fail_M.shape == ls.shape
+        for i in (0, 17, 499, 999):
+            pair = failure_probabilities(int(ls[i]), ang)
+            assert fail_K[i] == pytest.approx(pair.fail_K, abs=1e-15)
+            assert fail_M[i] == pytest.approx(pair.fail_M, abs=1e-15)
+
+    def test_even_l_does_not_warn(self, recwarn):
+        failure_kernel(2, angles_of(make_instance(4, 1, 2)))
+        assert not recwarn.list

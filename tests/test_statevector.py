@@ -181,3 +181,14 @@ class TestRunDiscrimination:
         big = make_instance(FULL_SIM_CAP * 2, 1, 2)
         with pytest.raises(ValueError):
             run_discrimination(big, "M", 3, 10, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
+        import groverstop.statevector as sv
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran before epsilon was validated")
+
+        monkeypatch.setattr(sv, "simulate", no_simulation)
+        with pytest.raises(ValueError, match="epsilon"):
+            run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=0, epsilon=epsilon)

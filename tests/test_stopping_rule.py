@@ -187,3 +187,9 @@ class TestCertify:
         rule = construct_rule(inst)
         with pytest.raises(DegenerateM):
             certify(rule, make_instance(4, 0, 1))
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1.0, math.nan, math.inf])
+    def test_certify_rejects_bad_epsilon(self, epsilon):
+        inst = make_instance(1 << 12, 8, 12)
+        with pytest.raises(ValueError, match="epsilon"):
+            certify(construct_rule(inst), inst, epsilon)

@@ -92,6 +92,10 @@ class TestPadForRatio:
         with pytest.raises(ValueError):
             pad_for_ratio(1, 100, epsilon=1.5)
 
+    def test_non_finite_ratio_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            pad_for_ratio(1, 1 << 20, a=math.inf)
+
 
 class TestIterationBound:
     def test_degenerate_pair(self):
