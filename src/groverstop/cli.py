@@ -28,7 +28,7 @@ from .diophantine import (
     strict_distance,
     torus_point,
 )
-from .statevector import FULL_SIM_CAP, RNG_ALGORITHM, run_discrimination
+from .statevector import RNG_ALGORITHM, run_discrimination
 from .stopping_rule import (
     DEFAULT_EPSILON,
     GammaTooLarge,
@@ -282,11 +282,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     instance = make_instance(args.N, args.M, args.K)
-    if instance.N > FULL_SIM_CAP:
-        raise ValueError(
-            f"N={instance.N} exceeds the full-simulation cap {FULL_SIM_CAP}; "
-            "use the subspace model (rule/search commands) instead"
-        )
     outcomes = {}
     for truth in ("M", "K"):
         outcome = run_discrimination(

@@ -5,10 +5,9 @@ half-angles, the state after m iterations, the two failure probabilities of
 the size-discrimination experiment, and the Chebyshev-polynomial form of the
 same quantities.
 
-All angle arithmetic is 64-bit floating point.  The intended envelope is
-N <= 2**48, which keeps theta_M large enough that l*theta products retain
-about 8 significant digits for l up to 1e10; the desk-scale tooling in this
-repo never comes close to that limit.
+All angle arithmetic is 64-bit floating point.  The envelope N <= 2**48 is
+enforced by ``make_instance``; it keeps theta_M large enough that l*theta
+products retain about 8 significant digits for l up to 1e10.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ __all__ = [
     "GroverAngles",
     "SubspaceState",
     "FailurePair",
+    "N_ENVELOPE",
     "make_instance",
     "half_angle",
     "angles_of",
@@ -35,6 +35,9 @@ __all__ = [
     "chebyshev_T",
     "chebyshev_residuals",
 ]
+
+
+N_ENVELOPE = 1 << 48  # largest N whose float64 angle arithmetic is trusted
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,15 @@ def make_instance(N: int, M: int, K: int) -> ProblemInstance:
     """Validate a (N, M, K) triple and flag the strict M < K < N/2 regime.
 
     Triples outside the strict regime (K >= N/2) are accepted but flagged;
-    only 0 <= M < K <= N with N >= 1 is enforced.  Any integer type (numpy
-    integers included) is accepted and stored as a Python int; bool is not.
+    only 0 <= M < K <= N with 1 <= N <= N_ENVELOPE is enforced.  Any integer
+    type (numpy integers included) is accepted and stored as a Python int;
+    bool is not.
     """
     N, M, K = _as_int("N", N), _as_int("M", M), _as_int("K", K)
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
+    if N > N_ENVELOPE:
+        raise ValueError(f"N={N} exceeds the float64 envelope 2**48")
     if M < 0:
         raise ValueError(f"M must be non-negative, got {M}")
     if M >= K:

@@ -71,8 +71,8 @@ class KroneckerTarget:
     def __post_init__(self) -> None:
         if len(self.xis) != len(self.etas) or not self.xis:
             raise ValueError("xis and etas must be equal-length, non-empty")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class DecisionNode:
 
 def _score_epsilon(threshold: float) -> float:
     # Neighborhood radius whose worst-case failure probability is the threshold.
-    return math.asin(math.sqrt(min(threshold, 1.0))) / (2.0 * math.pi)
+    return math.asin(math.sqrt(threshold)) / (2.0 * math.pi)
 
 
 def multi_hypothesis_schedule(
@@ -276,6 +276,8 @@ def multi_hypothesis_schedule(
         raise ValueError(f"sizes must be strictly increasing, got {sizes}")
     if any(s < 0 or 2 * s > N for s in sizes):
         raise ValueError(f"sizes must lie in [0, N/2], got {sizes} with N={N}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     epsilon = _score_epsilon(threshold)
 
     def build(candidates: tuple[int, ...]) -> DecisionNode:

@@ -9,8 +9,9 @@ are served only by the 2D subspace model in ``core_model``.
 
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
-recorded in outputs as the algorithm id below.  Fixtures depend on it; do not
-change it silently.
+and a Monte Carlo trial draws exactly one uniform from its stream; outputs
+record both as the algorithm id below.  Fixtures depend on it; do not change
+it silently.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 FULL_SIM_CAP = 1 << 22
-RNG_ALGORITHM = "numpy-pcg64/seedsequence(seed,(trial,))"
+RNG_ALGORITHM = "numpy-pcg64/seedsequence(seed,(trial,))/one-uniform-per-trial"
 
 Truth = Literal["M", "K"]
 
@@ -92,15 +93,22 @@ def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     return state
 
 
-def measure(state: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample a basis index with probability amplitude squared."""
+def _cumulative(state: np.ndarray) -> np.ndarray:
     probs = state * state
     norm = float(probs.sum())
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm!r}")
-    cum = np.cumsum(probs)
+    return np.cumsum(probs)
+
+
+def _sample(cum: np.ndarray, rng: np.random.Generator) -> int:
     u = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, u, side="right"), len(state) - 1))
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+
+
+def measure(state: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample a basis index with probability amplitude squared."""
+    return _sample(_cumulative(state), rng)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -118,12 +126,12 @@ def run_discrimination(
 ) -> DiscriminationOutcome:
     """Monte Carlo estimate of the discrimination error rate under one truth.
 
-    Each trial draws a fresh marked set of the true size uniformly without
-    replacement, runs m = (l-1)/2 iterations, measures, and decides K iff the
+    Each trial stands for a uniformly random marked set of the true size,
+    m = (l-1)/2 iterations, one measurement, and the decision K iff the
     measured element is marked.  The dynamics are permutation-equivariant, so
-    the per-trial state is obtained by simulating a canonical marked set once
-    and relabeling indices through the trial's random permutation; the trial's
-    marked set is the image of the canonical one.
+    the decision has the same law as for the canonical set range(size): its
+    state is simulated once, and each trial samples one index from it with a
+    single uniform from ``trial_rng(seed, trial)``.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
@@ -139,16 +147,11 @@ def run_discrimination(
     bound = error_bound(epsilon)
     size = instance.M if truth == "M" else instance.K
     m = (l - 1) // 2
-    base = simulate(instance.N, range(size), m)
-
-    errors = 0
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        perm = rng.permutation(instance.N)  # trial's marked set is perm[:size]
-        canonical_index = measure(base, rng)
-        decided: Truth = "K" if canonical_index < size else "M"
-        if decided != truth:
-            errors += 1
+    cum = _cumulative(simulate(instance.N, range(size), m))
+    errors = sum(
+        (_sample(cum, trial_rng(seed, trial)) < size) != (truth == "K")
+        for trial in range(trials)
+    )
     return DiscriminationOutcome(
         truth=truth,
         trials=trials,

@@ -45,6 +45,13 @@ class TestMakeInstance:
         with pytest.raises(TypeError):
             make_instance(4.0, 0, 1)
 
+    def test_float64_envelope_enforced(self):
+        assert make_instance(2**48, 1, 2).N == 2**48
+        with pytest.raises(ValueError, match="envelope"):
+            make_instance(2**48 + 1, 1, 2)
+        with pytest.raises(ValueError, match="envelope"):
+            make_instance(2**60, 1, 2)
+
 
 class TestHalfAngle:
     def test_closed_forms(self):

@@ -205,6 +205,10 @@ class TestKroneckerSearch:
             KroneckerTarget((), (), 0.1)
         with pytest.raises(ValueError):
             KroneckerTarget((0.5,), (0.0,), 0.0)
+        with pytest.raises(ValueError):
+            KroneckerTarget((0.5,), (0.0,), math.nan)
+        with pytest.raises(ValueError):
+            KroneckerTarget((0.5,), (0.0,), math.inf)
 
 
 class TestMultiHypothesisSchedule:
@@ -236,3 +240,6 @@ class TestMultiHypothesisSchedule:
             multi_hypothesis_schedule([4, 4], 64, 0.25, 99)
         with pytest.raises(ValueError):
             multi_hypothesis_schedule([4, 40], 64, 0.25, 99)
+        for threshold in (math.nan, 0.0, 1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                multi_hypothesis_schedule([4, 8], 64, threshold, 99)

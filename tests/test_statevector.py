@@ -170,6 +170,19 @@ class TestRunDiscrimination:
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(outcome.empirical_error - p) <= 4 * sigma + 1e-12
 
+    def test_one_measurement_per_trial_stream(self):
+        # Pins the RNG contract: trial t is one measure() of the canonical
+        # state on trial_rng(seed, t), and nothing else draws from that stream.
+        inst = make_instance(64, 2, 4)
+        l, trials, seed = 7, 300, 5
+        for truth, size in (("M", inst.M), ("K", inst.K)):
+            state = simulate(inst.N, range(size), (l - 1) // 2)
+            decided = ["K" if measure(state, trial_rng(seed, t)) < size else "M"
+                       for t in range(trials)]
+            wrong = sum(d != truth for d in decided)
+            outcome = run_discrimination(inst, truth, l, trials, seed)
+            assert 0 < outcome.errors == wrong < trials
+
     def test_validation(self):
         inst = make_instance(256, 4, 6)
         with pytest.raises(ValueError):
