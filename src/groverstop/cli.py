@@ -20,13 +20,15 @@ import sys
 from dataclasses import asdict
 from typing import Any, Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .core_model import angles_of, error_bound, failure_probabilities, make_instance
 from .diophantine import (
     default_horizon,
     minimal_odd_l,
+    orbit_coords,
     relaxed_score,
-    strict_distance,
-    torus_point,
+    target_distance,
 )
 from .statevector import RNG_ALGORITHM, run_discrimination
 from .stopping_rule import (
@@ -179,18 +181,21 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         raise ValueError(f"--l-max must be odd and >= 1, got {args.l_max}")
     instance = make_instance(args.N, args.M, args.K)
     angles = angles_of(instance)
-    rows = []
-    for l in range(1, args.l_max + 1, 2):
-        pt = torus_point(l, angles)
-        rows.append(
-            {
-                "l": l,
-                "x_K": pt.x_K,
-                "x_M": pt.x_M,
-                "strict_distance": strict_distance(pt),
-                "relaxed_score": relaxed_score(l, angles),
-            }
-        )
+    ls = np.arange(1, args.l_max + 1, 2)
+    x_K, x_M = orbit_coords(ls, angles)
+    distance = target_distance(x_K, x_M)
+    # The exact parts are computed for all rows at once; the trig stays scalar
+    # libm per l, which vectorised numpy need not match in the last ulp.
+    rows = [
+        {
+            "l": l,
+            "x_K": xk,
+            "x_M": xm,
+            "strict_distance": d,
+            "relaxed_score": relaxed_score(l, angles),
+        }
+        for l, xk, xm, d in zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist())
+    ]
     buf = io.StringIO()
     _write_csv(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows, buf)
     _emit(buf.getvalue(), args.out)
@@ -315,6 +320,9 @@ def cmd_pad(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     bound = error_bound(args.epsilon)
+    if math.isnan(args.threshold):
+        # NaN compares false with every ratio and would silently drop each found row.
+        raise ValueError("--threshold must not be NaN")
     entries = []
     for m in _parse_range(args.M_range):
         for k in _parse_range(args.K_range):

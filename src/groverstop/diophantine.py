@@ -35,7 +35,9 @@ __all__ = [
     "SCAN_CHUNK",
     "HORIZON_CAP",
     "circle_distance",
+    "orbit_coords",
     "torus_point",
+    "target_distance",
     "strict_distance",
     "relaxed_score",
     "default_horizon",
@@ -46,7 +48,8 @@ __all__ = [
 
 SearchMode = Literal["relaxed", "strict"]
 
-SCAN_CHUNK = 1 << 16
+SCAN_CHUNK = 1 << 16  # widest chunk of l a scan scores at once
+_FIRST_CHUNK = 1 << 8
 HORIZON_CAP = 10**8 - 1  # largest odd default horizon
 
 
@@ -99,21 +102,32 @@ def circle_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+def orbit_coords(l, angles: GroverAngles):
+    """(l*theta_K/4pi mod 1, l*theta_M/4pi mod 1); elementwise when l is an array.
+
+    No parity check: callers validate l.  An integer array gives, element by
+    element, the same doubles as a Python int.
+    """
+    four_pi = 4.0 * math.pi
+    return (l * angles.theta_K / four_pi) % 1.0, (l * angles.theta_M / four_pi) % 1.0
+
+
 def torus_point(l: int, angles: GroverAngles) -> TorusPoint:
     """Orbit coordinates at odd time l, reduced mod 1 into [0, 1)."""
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
-    four_pi = 4.0 * math.pi
-    return TorusPoint(
-        l=l,
-        x_K=(l * angles.theta_K / four_pi) % 1.0,
-        x_M=(l * angles.theta_M / four_pi) % 1.0,
-    )
+    x_K, x_M = orbit_coords(l, angles)
+    return TorusPoint(l=l, x_K=x_K, x_M=x_M)
+
+
+def target_distance(x_K, x_M):
+    """L-infinity circle distance of (x_K, x_M) to (1/4, 0), elementwise on arrays."""
+    return np.maximum(circle_distance(x_K, 0.25), circle_distance(x_M, 0.0))
 
 
 def strict_distance(pt: TorusPoint) -> float:
     """L-infinity circle distance of the orbit point to the target (1/4, 0)."""
-    return float(max(circle_distance(pt.x_K, 0.25), circle_distance(pt.x_M, 0.0)))
+    return float(target_distance(pt.x_K, pt.x_M))
 
 
 def relaxed_score(l: int, angles: GroverAngles) -> float:
@@ -134,10 +148,7 @@ def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.
     if mode == "relaxed":
         return np.maximum(*failure_kernel(ls, angles))
     four_pi = 4.0 * math.pi
-    return np.maximum(
-        circle_distance(ls * (angles.theta_K / four_pi), 0.25),
-        circle_distance(ls * (angles.theta_M / four_pi), 0.0),
-    )
+    return target_distance(ls * (angles.theta_K / four_pi), ls * (angles.theta_M / four_pi))
 
 
 def _first_hit(
@@ -148,15 +159,21 @@ def _first_hit(
 ) -> tuple[int, float] | None:
     """First l in 1, 1+step, ... <= horizon whose score is accepted, with that score.
 
-    Scans SCAN_CHUNK values of l at a time; None when the horizon is exhausted.
+    Scores l in chunks: the first holds _FIRST_CHUNK values, and each next one
+    twice as many, up to SCAN_CHUNK, so an early hit costs a small chunk and a
+    long scan only a few extra ones.  ``score`` and ``accept`` are elementwise,
+    so a decision does not depend on which chunk its l falls in.  None when
+    the horizon is exhausted.
     """
-    for start in range(1, horizon + 1, step * SCAN_CHUNK):
-        stop = min(start + step * SCAN_CHUNK, horizon + 1)
+    start, width = 1, _FIRST_CHUNK
+    while start <= horizon:
+        stop = min(start + step * width, horizon + 1)
         ls = np.arange(start, stop, step, dtype=np.float64)
         scores = score(ls)
         hits = np.nonzero(accept(scores))[0]
         if hits.size:
             return int(ls[hits[0]]), float(scores[hits[0]])
+        start, width = stop, min(2 * width, SCAN_CHUNK)
     return None
 
 

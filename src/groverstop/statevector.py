@@ -68,28 +68,39 @@ def _marked_array(state_len: int, marked: Iterable[int]) -> np.ndarray:
     return idx
 
 
-def apply_oracle(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
-    """Flip the sign of every marked amplitude (an exact involution)."""
-    idx = _marked_array(len(state), marked)
+def _oracle(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
     out = state.copy()
     out[idx] = -out[idx]
     return out
 
 
-def grover_step(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
-    """One Grover iteration: oracle reflection, then reflection about uniform."""
-    reflected = apply_oracle(state, marked)
+def _step(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    reflected = _oracle(state, idx)
     return 2.0 * reflected.mean() - reflected
 
 
+def apply_oracle(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
+    """Flip the sign of every marked amplitude (an exact involution)."""
+    return _oracle(state, _marked_array(len(state), marked))
+
+
+def grover_step(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
+    """One Grover iteration: oracle reflection, then reflection about uniform."""
+    return _step(state, _marked_array(len(state), marked))
+
+
 def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
-    """State after m Grover iterations from the uniform start."""
+    """State after m Grover iterations from the uniform start.
+
+    The marked set is validated once; every iteration is the step
+    ``grover_step`` takes.
+    """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     idx = _marked_array(N, marked)
     state = init_uniform(N)
     for _ in range(m):
-        state = grover_step(state, idx)
+        state = _step(state, idx)
     return state
 
 

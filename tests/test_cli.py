@@ -355,6 +355,13 @@ class TestBadInputIsExitOne:
         )
         assert (code, out) == (1, "")
 
+    def test_diagnose_threshold_nan(self, capsys):
+        code, out = run_cli(
+            capsys, "diagnose", "--N", "4096", "--M-range", "1:64", "--K-range", "2:128",
+            "--threshold", "nan",
+        )
+        assert (code, out) == (1, "")
+
     @pytest.mark.parametrize("a", ["inf", "nan"])
     def test_pad_non_finite_ratio(self, capsys, a):
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)

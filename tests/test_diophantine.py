@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groverstop import (
     KroneckerTarget,
@@ -18,7 +19,17 @@ from groverstop import (
     strict_distance,
     torus_point,
 )
-from groverstop.diophantine import TorusPoint, circle_distance
+from groverstop.core_model import GroverAngles
+from groverstop.diophantine import (
+    _FIRST_CHUNK,
+    HORIZON_CAP,
+    SCAN_CHUNK,
+    TorusPoint,
+    _chunk_scores,
+    circle_distance,
+    orbit_coords,
+    target_distance,
+)
 
 from test_stopping_rule import sample_applicable
 
@@ -92,6 +103,22 @@ class TestRelaxedScore:
                 triggered += 1
                 assert relaxed_score(l, ang) <= math.sin(2 * math.pi * eps) ** 2 + 1e-12
         assert triggered > 10
+
+
+class TestOrbitArrays:
+    def test_array_coords_match_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            N = int(rng.integers(64, 1 << 40))
+            K = int(rng.integers(2, N // 2))
+            ang = angles_of(make_instance(N, int(rng.integers(1, K)), K))
+            ls = 1 + 2 * rng.integers(0, HORIZON_CAP // 2, size=200)
+            x_K, x_M = orbit_coords(ls, ang)
+            dist = target_distance(x_K, x_M)
+            for i, l in enumerate(ls.tolist()):
+                pt = torus_point(l, ang)
+                assert (x_K[i], x_M[i]) == (pt.x_K, pt.x_M)
+                assert dist[i] == strict_distance(pt)
 
 
 class TestMinimalOddL:
@@ -243,3 +270,154 @@ class TestMultiHypothesisSchedule:
         for threshold in (math.nan, 0.0, 1.0):
             with pytest.raises(ValueError, match="threshold"):
                 multi_hypothesis_schedule([4, 8], 64, threshold, 99)
+
+
+def _chunk_starts() -> list[int]:
+    """Index, in the sequence of scanned l, of the first l of each chunk.
+
+    Up to and including the first chunk that has grown to SCAN_CHUNK.
+    """
+    starts, width = [0], _FIRST_CHUNK
+    while width < SCAN_CHUNK:
+        starts.append(starts[-1] + width)
+        width *= 2
+    return starts
+
+
+# Last l of the first chunk, first l of the second, first l of the first
+# SCAN_CHUNK-wide chunk.
+HIT_INDICES = (_chunk_starts()[1] - 1, _chunk_starts()[1], _chunk_starts()[-1])
+# Last l of the first, the second and the last narrower-than-SCAN_CHUNK chunk.
+END_INDICES = (_chunk_starts()[1] - 1, _chunk_starts()[2] - 1, _chunk_starts()[-1] - 1)
+
+
+def _reference_scan(angles, threshold, horizon, mode):
+    """Whole-range scan in one array: (l, score) of the first hit, or None."""
+    ls = np.arange(1, horizon + 1, 2, dtype=np.float64)
+    scores = _chunk_scores(ls, angles, mode)
+    hits = np.nonzero(scores <= threshold)[0]
+    return (int(ls[hits[0]]), scores[hits[0]]) if hits.size else None
+
+
+def _reference_kronecker(target, horizon):
+    step = 2 if target.parity == "odd" else 1
+    ls = np.arange(1, horizon + 1, step, dtype=np.float64)
+    raw = ls[:, None] * np.asarray(target.xis) - np.asarray(target.etas)
+    worst = np.abs(raw - np.round(raw)).max(axis=1)
+    hits = np.nonzero(worst < target.epsilon)[0]
+    return int(ls[hits[0]]) if hits.size else None
+
+
+def _hit_at(L: int) -> GroverAngles:
+    # cos^2(l*theta_K/2) vanishes at l = L and, over odd l <= L, nowhere else
+    # within (pi/L)^2; the strict orbit point reaches (1/4, 0) at l = L.
+    return GroverAngles(theta_M=0.0, theta_K=math.pi / L, gamma=None)
+
+
+def _kronecker_hit_at(L: int, parity: str) -> KroneckerTarget:
+    # Residual of the first coordinate is 0.25*|1 - l/L|; the second is 0.
+    return KroneckerTarget((0.25 / L, 0.0), (0.25, 0.0), 0.1 / L, parity)
+
+
+STRICT_AND_RELAXED = (("relaxed", 1e-12), ("strict", 1e-9))
+
+
+class TestGrowingScan:
+    """The chunked scan finds exactly what one whole-range array finds."""
+
+    @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
+    @pytest.mark.parametrize("position", range(3))
+    def test_minimal_odd_l_hit_on_chunk_boundary(self, mode, threshold, position):
+        L = 1 + 2 * HIT_INDICES[position]
+        angles = _hit_at(L)
+        for horizon in (L, L + 2 * SCAN_CHUNK):  # the hit ends the scan, or not
+            report = minimal_odd_l(angles, threshold, horizon, mode)
+            l_ref, score_ref = _reference_scan(angles, threshold, horizon, mode)
+            assert report.found and report.l == l_ref == L
+            assert report.score == score_ref
+
+    @pytest.mark.parametrize("parity, step", (("odd", 2), ("any", 1)))
+    @pytest.mark.parametrize("position", range(3))
+    def test_kronecker_hit_on_chunk_boundary(self, parity, step, position):
+        L = 1 + step * HIT_INDICES[position]
+        target = _kronecker_hit_at(L, parity)
+        horizon = L + step * SCAN_CHUNK
+        hit = kronecker_search(target, horizon)
+        assert hit is not None and hit.l == _reference_kronecker(target, horizon) == L
+        assert kronecker_search(target, L).l == L
+        # One step earlier (the neighbouring chunk's edge) must not be accepted.
+        assert kronecker_search(target, L - 1) is None
+
+    @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
+    def test_horizon_shorter_than_first_chunk(self, mode, threshold):
+        horizon = _FIRST_CHUNK - 1  # scanned in one partial first chunk
+        found = minimal_odd_l(_hit_at(51), threshold, horizon, mode)
+        assert found.found and found.l == 51
+        missed = minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode)
+        assert not missed.found and missed.horizon == horizon
+        assert _reference_scan(_hit_at(horizon + 2), threshold, horizon, mode) is None
+
+    @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
+    @pytest.mark.parametrize("position", range(3))
+    def test_horizon_ending_on_chunk_boundary(self, mode, threshold, position):
+        # The horizon is the last l of a chunk: a hit there is found, one
+        # step beyond it is not.
+        index = END_INDICES[position]
+        horizon = 1 + 2 * index
+        assert minimal_odd_l(_hit_at(horizon), threshold, horizon, mode).l == horizon
+        assert not minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode).found
+        for parity, step in (("odd", 2), ("any", 1)):
+            edge = 1 + step * index
+            assert kronecker_search(_kronecker_hit_at(edge, parity), edge).l == edge
+            assert kronecker_search(_kronecker_hit_at(edge + step, parity), edge) is None
+
+    def test_exhausted_horizon_spanning_capped_chunks(self):
+        horizon = 1 + 2 * (HIT_INDICES[2] + SCAN_CHUNK + 99)
+        for mode, threshold in STRICT_AND_RELAXED:
+            report = minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode)
+            assert not report.found and report.l is None and report.horizon == horizon
+        assert kronecker_search(_kronecker_hit_at(horizon + 2, "odd"), horizon) is None
+
+    @pytest.mark.parametrize("mode", ("relaxed", "strict"))
+    def test_real_instances_match_whole_range_scan(self, mode):
+        rng = np.random.default_rng(41)
+        for _ in range(12):
+            N = int(rng.integers(1 << 10, 1 << 24))
+            K = int(rng.integers(2, max(3, N // 64)))
+            inst = make_instance(N, int(rng.integers(0, K)), K)
+            angles = angles_of(inst)
+            threshold = float(10.0 ** rng.uniform(-4, -0.6))
+            horizon = default_horizon(inst)
+            report = minimal_odd_l(angles, threshold, horizon, mode)
+            ref = _reference_scan(angles, threshold, horizon, mode)
+            if ref is None:
+                assert not report.found
+            else:
+                assert (report.l, report.score) == ref
+
+
+@st.composite
+def _triples(draw):
+    N = draw(st.integers(4, 1 << 48))
+    K = draw(st.integers(1, N))
+    return make_instance(N, draw(st.integers(0, K - 1)), K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=_triples(),
+    mode=st.sampled_from(["relaxed", "strict"]),
+    first=st.integers(0, 5 * 10**7),
+    cuts=st.lists(st.integers(1, 3000), max_size=8),
+)
+def test_chunk_scores_independent_of_slicing(instance, mode, first, cuts):
+    """Scores of a whole arange equal, bit for bit, those of its pieces."""
+    angles = angles_of(instance)
+    start, stop = 1 + 2 * first, 1 + 2 * (first + 3001)
+    whole = _chunk_scores(np.arange(start, stop, 2, dtype=np.float64), angles, mode)
+    bounds = [start] + [start + 2 * c for c in sorted(set(cuts))] + [stop]
+    pieces = [
+        _chunk_scores(np.arange(a, b, 2, dtype=np.float64), angles, mode)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    assert whole.tobytes() == np.concatenate(pieces).tobytes()

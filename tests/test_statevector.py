@@ -81,6 +81,19 @@ class TestGroverStep:
 
 
 class TestSimulate:
+    def test_bit_identical_to_repeated_grover_step(self):
+        marked = range(30000)
+        state = init_uniform(65536)
+        for _ in range(200):
+            state = grover_step(state, marked)
+        assert simulate(65536, marked, 200).tobytes() == state.tobytes()
+
+    def test_rejects_bad_marked_set(self):
+        with pytest.raises(IndexError):
+            simulate(8, {8}, 0)
+        with pytest.raises(ValueError):
+            simulate(8, [1, 1], 3)
+
     def test_zero_steps(self):
         np.testing.assert_array_equal(simulate(4, {1}, 0), init_uniform(4))
 
