@@ -12,12 +12,19 @@ are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
 and a Monte Carlo trial draws exactly one uniform from its stream; outputs
 record both as the algorithm id below.  Fixtures depend on it; do not change
 it silently.
+
+``run_discrimination`` does not build those streams one by one: it computes
+the uniforms of a whole block of trials at once with numpy integer arithmetic
+that replays SeedSequence's hash and PCG64's seeding and first draw.  Each
+equals ``trial_rng(seed, trial).random()`` bit for bit (a test pins this), so
+``trial_rng`` is the reference the vectorised draw is checked against.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -68,39 +75,43 @@ def _marked_array(state_len: int, marked: Iterable[int]) -> np.ndarray:
     return idx
 
 
-def _oracle(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = state.copy()
-    out[idx] = -out[idx]
-    return out
+def _oracle(state: np.ndarray, idx: np.ndarray) -> None:
+    """Flip the marked signs of ``state`` in place."""
+    state[idx] = -state[idx]
 
 
-def _step(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    reflected = _oracle(state, idx)
-    return 2.0 * reflected.mean() - reflected
+def _step(state: np.ndarray, idx: np.ndarray) -> None:
+    """One Grover iteration applied to ``state`` in place."""
+    _oracle(state, idx)
+    np.subtract(2.0 * state.mean(), state, out=state)
 
 
 def apply_oracle(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
     """Flip the sign of every marked amplitude (an exact involution)."""
-    return _oracle(state, _marked_array(len(state), marked))
+    out = state.copy()
+    _oracle(out, _marked_array(len(state), marked))
+    return out
 
 
 def grover_step(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
     """One Grover iteration: oracle reflection, then reflection about uniform."""
-    return _step(state, _marked_array(len(state), marked))
+    out = np.array(state, dtype=np.float64)
+    _step(out, _marked_array(len(state), marked))
+    return out
 
 
 def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     """State after m Grover iterations from the uniform start.
 
     The marked set is validated once; every iteration is the step
-    ``grover_step`` takes.
+    ``grover_step`` takes, applied in place to the one state array.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     idx = _marked_array(N, marked)
     state = init_uniform(N)
     for _ in range(m):
-        state = _step(state, idx)
+        _step(state, idx)
     return state
 
 
@@ -112,19 +123,136 @@ def _cumulative(state: np.ndarray) -> np.ndarray:
     return np.cumsum(probs)
 
 
-def _sample(cum: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+def _sample(cum: np.ndarray, u: float | np.ndarray):
+    """Basis index (or indices) that the uniform(s) ``u`` in [0, 1) select."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
 
 
 def measure(state: np.ndarray, rng: np.random.Generator) -> int:
     """Sample a basis index with probability amplitude squared."""
-    return _sample(_cumulative(state), rng)
+    return int(_sample(_cumulative(state), rng.random()))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, order-insensitive stream for one trial of an experiment."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+# What trial_rng(seed, t).random() computes, replayed on arrays of trials:
+# numpy's SeedSequence (bit_generator.pyx: pool of four uint32 words, the
+# hashmix/mix hash, generate_state), PCG64's seeding (pcg64.h: srandom, two
+# steps of the 128-bit LCG), one draw (a third step, XSL-RR output) and
+# next_double.  uint32/uint64 arrays wrap silently, like the C code.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TRIAL_BLOCK = 1 << 14  # divides 2**32: a block's spawn keys share a word count
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits an int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hash_consts(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of successive hashmix calls: the constant advances each call."""
+    while True:
+        nxt = init * mult & 0xFFFFFFFF
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts: Iterator[tuple[np.uint32, np.uint32]]) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products a*b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> np.uint64(32), b & _LOW32, b >> np.uint64(32)
+    lo_lo, lo_hi, hi_lo = a0 * b0, a0 * b1, a1 * b0
+    carry = ((lo_lo >> np.uint64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> np.uint64(32)
+    return a1 * b1 + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + carry
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 state step, state * multiplier + inc modulo 2**128."""
+    prod_hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _uniforms(seed_words: list[int], trials: np.ndarray) -> np.ndarray:
+    """trial_rng(seed, t).random() for each t in ``trials`` (uint64, equal word counts)."""
+    spawn_words = len(_uint32_words(int(trials[-1])))
+    entropy = [np.array([w], dtype=np.uint32) for w in seed_words]
+    entropy += [((trials >> np.uint64(32 * i)) & _LOW32).astype(np.uint32)
+                for i in range(spawn_words)]
+
+    # SeedSequence.mix_entropy.  A spawn key makes the entropy longer than the
+    # pool, so the pool is filled from entropy alone.  The seed's words are
+    # length-1 arrays: everything that does not depend on the trial is
+    # computed once and broadcast.
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i], consts) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+
+    # generate_state(4, np.uint64): eight words cycling over the pool, paired
+    # little-endian into (state_hi, state_lo, seq_hi, seq_lo).
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64) for i in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = (
+        out[i] | (out[i + 1] << np.uint64(32)) for i in range(0, 8, 2)
+    )
+
+    # pcg_setseq_128_srandom_r: inc = 2*seq + 1; state = 0, step (state = inc),
+    # add the initial state, step.  Then random(): step, XSL-RR, top 53 bits.
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, state_hi, state_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> np.uint64(58)
+    draw = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (draw >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _trial_uniforms(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """trial_rng(seed, t).random() for t in range(start, stop), block by block.
+
+    Blocks are aligned to multiples of ``_TRIAL_BLOCK``, so all spawn keys in
+    one block have the same number of 32-bit words and memory stays bounded
+    however many trials are asked for.
+    """
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))  # SeedSequence pads when spawned
+    edges = [start, *range((start // _TRIAL_BLOCK + 1) * _TRIAL_BLOCK, stop, _TRIAL_BLOCK), stop]
+    for first, end in zip(edges, edges[1:]):
+        if first < end:
+            yield _uniforms(seed_words, np.arange(first, end, dtype=np.uint64))
 
 
 def run_discrimination(
@@ -142,7 +270,8 @@ def run_discrimination(
     measured element is marked.  The dynamics are permutation-equivariant, so
     the decision has the same law as for the canonical set range(size): its
     state is simulated once, and each trial samples one index from it with a
-    single uniform from ``trial_rng(seed, trial)``.
+    single uniform from ``trial_rng(seed, trial)``, computed for a block of
+    trials at a time.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
@@ -150,6 +279,9 @@ def run_discrimination(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if truth not in ("M", "K"):
         raise ValueError(f"truth must be 'M' or 'K', got {truth!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     if instance.N > FULL_SIM_CAP:
         raise ValueError(
             f"N={instance.N} exceeds the full-simulation cap {FULL_SIM_CAP}; "
@@ -159,10 +291,10 @@ def run_discrimination(
     size = instance.M if truth == "M" else instance.K
     m = (l - 1) // 2
     cum = _cumulative(simulate(instance.N, range(size), m))
-    errors = sum(
-        (_sample(cum, trial_rng(seed, trial)) < size) != (truth == "K")
-        for trial in range(trials)
+    decided_k = sum(
+        int(np.count_nonzero(_sample(cum, u) < size)) for u in _trial_uniforms(seed, 0, trials)
     )
+    errors = decided_k if truth == "M" else trials - decided_k
     return DiscriminationOutcome(
         truth=truth,
         trials=trials,

@@ -193,6 +193,14 @@ class TestExperimentCommand:
         )
         assert code == 1
 
+    def test_negative_seed(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "experiment", "--N", "1024", "--M", "2", "--K", "3",
+            "--l", "5", "--trials", "20", "--seed", "-1",
+        )
+        assert (code, out) == (1, "")
+
 
 class TestPadCommand:
     def test_doubling(self, capsys):

@@ -62,6 +62,18 @@ GOLDEN = [
         0,
         "7b6c3178ae6091eb4600be2bfc796cb46511473058145e4a57f9e1b94e5b1c1b",
     ),
+    # Recorded with one Generator per trial; 70000 trials cross several blocks
+    # of the vectorised draw, and 2**32 + 1 is a two-word seed.
+    (
+        "experiment --N 64 --M 2 --K 4 --l 7 --trials 70000 --seed 4294967297",
+        0,
+        "1b43154db439eed846c519ec2f705c0659c8dbf0c51ac07737372627cae845a9",
+    ),
+    (
+        "experiment --N 64 --M 2 --K 4 --l 7 --trials 70000 --seed 0",
+        0,
+        "226f1f97098cbc798442a984c0d013eed62c3243eebb3f9c23f37ebf6ef9cdec",
+    ),
 ]
 
 

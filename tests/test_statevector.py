@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groverstop import (
     angles_of,
@@ -16,7 +17,7 @@ from groverstop import (
     simulate,
     state_after,
 )
-from groverstop.statevector import FULL_SIM_CAP, trial_rng
+from groverstop.statevector import _TRIAL_BLOCK, FULL_SIM_CAP, _trial_uniforms, trial_rng
 
 
 class TestInitUniform:
@@ -60,6 +61,13 @@ class TestOracle:
         with pytest.raises(IndexError):
             apply_oracle(init_uniform(4), {4})
 
+    def test_input_unmodified(self):
+        state = np.linspace(0.1, 0.8, 8)
+        before = state.copy()
+        out = apply_oracle(state, {1, 5})
+        assert out is not state
+        np.testing.assert_array_equal(state, before)
+
 
 class TestGroverStep:
     def test_n4_single_step_exact(self):
@@ -78,6 +86,14 @@ class TestGroverStep:
         for _ in range(200):
             state = grover_step(state, S)
             assert abs(np.sum(state * state) - 1.0) <= 1e-13
+
+    def test_input_unmodified(self):
+        state = init_uniform(16)
+        before = state.copy()
+        out = grover_step(state, {2, 7})
+        assert out is not state
+        np.testing.assert_array_equal(state, before)
+        assert not np.array_equal(out, before)
 
 
 class TestSimulate:
@@ -158,6 +174,41 @@ class TestMeasure:
         assert np.all(np.abs(counts - draws * probs) <= 4 * sigma)
 
 
+def _assert_matches_trial_rng(seed, start, stop):
+    got = np.concatenate(list(_trial_uniforms(seed, start, stop)))
+    want = np.array([trial_rng(seed, t).random() for t in range(start, stop)])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+class TestTrialUniforms:
+    """The block-wise draw equals trial_rng(seed, t).random() bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 1, 2**64 + 1])
+    def test_fixed_seeds(self, seed):
+        _assert_matches_trial_rng(seed, 0, 3000)
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [
+            (0, _TRIAL_BLOCK),  # ends on the first block boundary
+            (_TRIAL_BLOCK - 40, _TRIAL_BLOCK + 1),  # one past it
+            (3 * _TRIAL_BLOCK - 5, 3 * _TRIAL_BLOCK),
+            (2**32 - 7, 2**32 + 1),  # spawn keys grow from one word to two
+        ],
+    )
+    def test_block_edges(self, start, stop):
+        _assert_matches_trial_rng(1001, start, stop)
+
+    def test_blocks_are_aligned_and_bounded(self):
+        sizes = [u.size for u in _trial_uniforms(3, 5, 2 * _TRIAL_BLOCK + 2)]
+        assert sizes == [_TRIAL_BLOCK - 5, _TRIAL_BLOCK, 2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**96), start=st.integers(0, 2**40), count=st.integers(1, 40))
+    def test_random_seeds(self, seed, start, count):
+        _assert_matches_trial_rng(seed, start, start + count)
+
+
 class TestRunDiscrimination:
     def test_exact_case_zero_errors(self):
         inst = make_instance(4, 0, 1)
@@ -207,6 +258,23 @@ class TestRunDiscrimination:
         big = make_instance(FULL_SIM_CAP * 2, 1, 2)
         with pytest.raises(ValueError):
             run_discrimination(big, "M", 3, 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_bad_seed_rejected_before_simulation(self, monkeypatch, seed):
+        import groverstop.statevector as sv
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran before the seed was validated")
+
+        monkeypatch.setattr(sv, "simulate", no_simulation)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        inst = make_instance(256, 4, 6)
+        outcome = run_discrimination(inst, "K", 21, 200, seed=np.uint64(42))
+        assert outcome == run_discrimination(inst, "K", 21, 200, seed=42)
+        assert type(outcome.seed) is int and type(outcome.errors) is int
 
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
