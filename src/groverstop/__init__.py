@@ -22,15 +22,10 @@ from .core_model import (
     state_after,
 )
 from .diophantine import (
-    DecisionNode,
-    KroneckerHit,
-    KroneckerTarget,
     SearchReport,
     TorusPoint,
     default_horizon,
-    kronecker_search,
     minimal_odd_l,
-    multi_hypothesis_schedule,
     relaxed_score,
     strict_distance,
     torus_point,

@@ -12,7 +12,6 @@ JSON uses the same field names, with null where CSV leaves a cell empty.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -39,7 +38,12 @@ from .stopping_rule import (
     certify,
     construct_rule,
 )
-from .transforms import PremiseViolated, iteration_bound, pad_for_ratio
+from .transforms import (
+    PremiseViolated,
+    iteration_bound,
+    pad_for_ratio,
+    reduce_common_divisor,
+)
 
 __all__ = ["main", "entry", "TABLE_FIELDS"]
 
@@ -89,10 +93,11 @@ def _csv_cell(value: Any) -> str:
 
 
 def _write_csv(fieldnames: Sequence[str], rows: Iterable[dict], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(fieldnames)
+    # Cells are None, bool, int, float or field names: none holds a comma,
+    # quote or newline, so none needs quoting.
+    stream.write(",".join(fieldnames) + "\n")
     for row in rows:
-        writer.writerow([_csv_cell(row[name]) for name in fieldnames])
+        stream.write(",".join([_csv_cell(row[name]) for name in fieldnames]) + "\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -268,8 +273,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         if not (0 <= m < k <= n):
             continue  # grid products include invalid corners; skip them
         if args.reduced:
-            g = math.gcd(m, k, n)
-            key = (m // g, k // g, n // g)
+            key = reduce_common_divisor(m, k, n)
             if key in seen_scaled:
                 continue
             seen_scaled.add(key)

@@ -18,20 +18,17 @@ be scanned independently and merged by taking the minimum found l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .core_model import GroverAngles, ProblemInstance, failure_kernel, half_angle
+from .core_model import GroverAngles, ProblemInstance, failure_kernel
 from .transforms import iteration_bound
 
 __all__ = [
     "TorusPoint",
-    "KroneckerTarget",
-    "KroneckerHit",
     "SearchReport",
-    "DecisionNode",
     "SCAN_CHUNK",
     "HORIZON_CAP",
     "circle_distance",
@@ -42,8 +39,6 @@ __all__ = [
     "relaxed_score",
     "default_horizon",
     "minimal_odd_l",
-    "kronecker_search",
-    "multi_hypothesis_schedule",
 ]
 
 SearchMode = Literal["relaxed", "strict"]
@@ -60,28 +55,6 @@ class TorusPoint:
     l: int
     x_K: float  # frac(l * theta_K / (4*pi))
     x_M: float  # frac(l * theta_M / (4*pi))
-
-
-@dataclass(frozen=True)
-class KroneckerTarget:
-    """Simultaneous approximation target: |l*xi_j - eta_j - p_j| < epsilon for all j."""
-
-    xis: tuple[float, ...]
-    etas: tuple[float, ...]
-    epsilon: float
-    parity: Literal["odd", "any"] = "odd"
-
-    def __post_init__(self) -> None:
-        if len(self.xis) != len(self.etas) or not self.xis:
-            raise ValueError("xis and etas must be equal-length, non-empty")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class KroneckerHit:
-    l: int
-    p_list: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -151,32 +124,6 @@ def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.
     return target_distance(ls * (angles.theta_K / four_pi), ls * (angles.theta_M / four_pi))
 
 
-def _first_hit(
-    step: int,
-    horizon: int,
-    score: Callable[[np.ndarray], np.ndarray],
-    accept: Callable[[np.ndarray], np.ndarray],
-) -> tuple[int, float] | None:
-    """First l in 1, 1+step, ... <= horizon whose score is accepted, with that score.
-
-    Scores l in chunks: the first holds _FIRST_CHUNK values, and each next one
-    twice as many, up to SCAN_CHUNK, so an early hit costs a small chunk and a
-    long scan only a few extra ones.  ``score`` and ``accept`` are elementwise,
-    so a decision does not depend on which chunk its l falls in.  None when
-    the horizon is exhausted.
-    """
-    start, width = 1, _FIRST_CHUNK
-    while start <= horizon:
-        stop = min(start + step * width, horizon + 1)
-        ls = np.arange(start, stop, step, dtype=np.float64)
-        scores = score(ls)
-        hits = np.nonzero(accept(scores))[0]
-        if hits.size:
-            return int(ls[hits[0]]), float(scores[hits[0]])
-        start, width = stop, min(2 * width, SCAN_CHUNK)
-    return None
-
-
 def minimal_odd_l(
     angles: GroverAngles,
     threshold: float,
@@ -187,21 +134,30 @@ def minimal_odd_l(
 
     Not finding one is a result, not an error: the report then records that
     every odd l up to the horizon was scanned.
+
+    Scores odd l in chunks: the first holds _FIRST_CHUNK values, and each next
+    one twice as many, up to SCAN_CHUNK, so an early hit costs a small chunk
+    and a long scan only a few extra ones.  Scores and the comparison are
+    elementwise, so a decision does not depend on which chunk its l falls in.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    hit = _first_hit(
-        2,
-        horizon,
-        lambda ls: _chunk_scores(ls, angles, mode),
-        lambda scores: scores <= threshold,
-    )
-    l, score = hit if hit else (None, None)
-    fail_K, fail_M = failure_kernel(l, angles) if hit else (None, None)
+    l = score = fail_K = fail_M = None
+    start, width = 1, _FIRST_CHUNK
+    while start <= horizon:
+        stop = min(start + 2 * width, horizon + 1)
+        ls = np.arange(start, stop, 2, dtype=np.float64)
+        scores = _chunk_scores(ls, angles, mode)
+        hits = np.nonzero(scores <= threshold)[0]
+        if hits.size:
+            l, score = int(ls[hits[0]]), float(scores[hits[0]])
+            fail_K, fail_M = failure_kernel(l, angles)
+            break
+        start, width = stop, min(2 * width, SCAN_CHUNK)
     return SearchReport(
-        found=hit is not None,
+        found=l is not None,
         l=l,
         score=score,
         fail_K=fail_K,
@@ -210,109 +166,3 @@ def minimal_odd_l(
         mode=mode,
         threshold=threshold,
     )
-
-
-def kronecker_search(target: KroneckerTarget, horizon: int) -> KroneckerHit | None:
-    """Smallest l of the required parity satisfying every target inequality.
-
-    The p_j are the nearest integers to l*xi_j - eta_j; None when no l up to
-    the horizon works.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    xis = np.asarray(target.xis, dtype=np.float64)
-    etas = np.asarray(target.etas, dtype=np.float64)
-
-    def worst_residual(ls: np.ndarray) -> np.ndarray:
-        raw = ls[:, None] * xis[None, :] - etas[None, :]
-        return np.abs(raw - np.round(raw)).max(axis=1)
-
-    step = 2 if target.parity == "odd" else 1
-    hit = _first_hit(
-        step, horizon, worst_residual, lambda worst: worst < target.epsilon
-    )
-    if hit is None:
-        return None
-    l = hit[0]
-    p_list = tuple(int(round(l * xi - eta)) for xi, eta in zip(target.xis, target.etas))
-    return KroneckerHit(l=l, p_list=p_list)
-
-
-@dataclass
-class DecisionNode:
-    """One level of the multi-hypothesis bisection over candidate sizes.
-
-    Internal nodes hold a simultaneous-approximation search that steers the
-    first half of the candidates toward the marked state (target 1/4) and the
-    rest toward unmarked (target 0).  A node whose search exhausts the horizon
-    is marked unresolved; the tree is still built below it.
-    """
-
-    sizes: tuple[int, ...]
-    l: int | None = None
-    p_list: tuple[int, ...] | None = None
-    resolved: bool = True
-    marked_branch: "DecisionNode | None" = field(default=None, repr=False)
-    unmarked_branch: "DecisionNode | None" = field(default=None, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return len(self.sizes) == 1
-
-    @property
-    def depth(self) -> int:
-        """Number of search levels below and including this node (0 for a leaf)."""
-        if self.is_leaf:
-            return 0
-        assert self.marked_branch is not None and self.unmarked_branch is not None
-        return 1 + max(self.marked_branch.depth, self.unmarked_branch.depth)
-
-
-def _score_epsilon(threshold: float) -> float:
-    # Neighborhood radius whose worst-case failure probability is the threshold.
-    return math.asin(math.sqrt(threshold)) / (2.0 * math.pi)
-
-
-def multi_hypothesis_schedule(
-    sizes: Sequence[int],
-    N: int,
-    threshold: float,
-    horizon: int,
-) -> DecisionNode:
-    """Binary decision tree separating r candidate sizes by repeated bisection.
-
-    Each internal node splits its candidates at ceil(r/2) and searches for an
-    odd l sending the first half near the marked state and the second half
-    near unmarked; one measurement then halves the candidate set, so about
-    log2(r) rounds decide the size.
-    """
-    sizes = tuple(sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least two candidate sizes")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
-    if any(s < 0 or 2 * s > N for s in sizes):
-        raise ValueError(f"sizes must lie in [0, N/2], got {sizes} with N={N}")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    epsilon = _score_epsilon(threshold)
-
-    def build(candidates: tuple[int, ...]) -> DecisionNode:
-        if len(candidates) == 1:
-            return DecisionNode(sizes=candidates)
-        split = math.ceil(len(candidates) / 2)
-        xis = tuple(2.0 * half_angle(s, N) / (4.0 * math.pi) for s in candidates)
-        etas = (0.25,) * split + (0.0,) * (len(candidates) - split)
-        hit = kronecker_search(
-            KroneckerTarget(xis=xis, etas=etas, epsilon=epsilon), horizon
-        )
-        return DecisionNode(
-            sizes=candidates,
-            l=hit.l if hit else None,
-            p_list=hit.p_list if hit else None,
-            resolved=hit is not None,
-            marked_branch=build(candidates[:split]),
-            unmarked_branch=build(candidates[split:]),
-        )
-
-    return build(sizes)

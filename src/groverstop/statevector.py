@@ -67,10 +67,10 @@ def init_uniform(N: int) -> np.ndarray:
 
 
 def _marked_array(state_len: int, marked: Iterable[int]) -> np.ndarray:
-    idx = np.asarray(sorted(marked), dtype=np.intp)
+    idx = np.sort(np.fromiter(marked, dtype=np.intp))
     if idx.size and (idx[0] < 0 or idx[-1] >= state_len):
         raise IndexError(f"marked indices out of range [0, {state_len})")
-    if idx.size != np.unique(idx).size:
+    if np.any(idx[1:] == idx[:-1]):
         raise ValueError("marked indices must be distinct")
     return idx
 

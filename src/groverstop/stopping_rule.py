@@ -156,8 +156,8 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
         raise DegenerateM(
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
-    app = check_applicability(instance)
     if not best_effort:
+        app = check_applicability(instance)
         if not (app.ordering_ok and app.size_condition_ok):
             failed = "ordering" if not app.ordering_ok else "size_condition"
             raise NotApplicable(f"applicability flag failed: {failed}")

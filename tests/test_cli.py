@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from groverstop.cli import TABLE_FIELDS, build_table_row, main
+from groverstop.cli import TABLE_FIELDS, _csv_cell, _write_csv, build_table_row, main
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,23 @@ class TestTableCommand:
         triples.write_text("")
         code, _ = run_cli(capsys, "table", "--triples", str(triples))
         assert code == 1
+
+    def test_csv_matches_csv_writer(self):
+        fields = ["a", "b_c", "d", "e"]
+        rows = [
+            {"a": None, "b_c": True, "d": 0, "e": math.inf},
+            {"a": -0.0, "b_c": False, "d": -7, "e": -math.inf},
+            {"a": 1e-300, "b_c": None, "d": 2**60, "e": 0.1},
+            {"a": math.nan, "b_c": 3, "d": None, "e": -1.5e17},
+        ]
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_csv_cell(row[name]) for name in fields])
+        out = io.StringIO()
+        _write_csv(fields, rows, out)
+        assert out.getvalue() == reference.getvalue()
 
 
 class TestExperimentCommand:

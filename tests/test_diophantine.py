@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groverstop import (
-    KroneckerTarget,
     angles_of,
     certify,
     check_applicability,
     construct_rule,
     default_horizon,
-    kronecker_search,
     make_instance,
     minimal_odd_l,
-    multi_hypothesis_schedule,
     relaxed_score,
     strict_distance,
     torus_point,
@@ -182,96 +179,6 @@ class TestMinimalOddL:
             minimal_odd_l(ang, 0.5, 0)
 
 
-class TestKroneckerSearch:
-    def test_single_frequency_exact(self):
-        hit = kronecker_search(KroneckerTarget((0.25,), (0.25,), 0.01), 999)
-        assert hit is not None
-        assert (hit.l, hit.p_list) == (1, (0,))
-
-    def test_degenerate_pair_exact(self):
-        ang = angles_of(make_instance(4, 0, 1))
-        four_pi = 4 * math.pi
-        hit = kronecker_search(
-            KroneckerTarget(
-                (ang.theta_K / four_pi, ang.theta_M / four_pi), (0.25, 0.0), 1e-9
-            ),
-            999,
-        )
-        assert hit is not None and hit.l == 3
-
-    def test_matches_second_implementation(self):
-        # Double-implementation oracle: plain-python residual re-scan.
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            xis = tuple(rng.uniform(0.0, 1.0, size=2))
-            etas = (0.25, 0.0)
-            eps = 0.05
-            hit = kronecker_search(KroneckerTarget(xis, etas, eps), 2001)
-
-            def residual_ok(l):
-                for xi, eta in zip(xis, etas):
-                    raw = l * xi - eta
-                    if abs(raw - round(raw)) >= eps:
-                        return False
-                return True
-
-            expected = next((l for l in range(1, 2002, 2) if residual_ok(l)), None)
-            if expected is None:
-                assert hit is None
-            else:
-                assert hit is not None and hit.l == expected
-                assert hit.p_list == tuple(
-                    round(hit.l * xi - eta) for xi, eta in zip(xis, etas)
-                )
-
-    def test_not_found(self):
-        assert kronecker_search(KroneckerTarget((0.0,), (0.25,), 0.01), 999) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KroneckerTarget((), (), 0.1)
-        with pytest.raises(ValueError):
-            KroneckerTarget((0.5,), (0.0,), 0.0)
-        with pytest.raises(ValueError):
-            KroneckerTarget((0.5,), (0.0,), math.nan)
-        with pytest.raises(ValueError):
-            KroneckerTarget((0.5,), (0.0,), math.inf)
-
-
-class TestMultiHypothesisSchedule:
-    def test_pair_reproduces_base_problem(self):
-        tree = multi_hypothesis_schedule([8, 12], 4096, 0.25, 9999)
-        assert tree.sizes == (8, 12)
-        assert tree.depth == 1
-        assert tree.marked_branch.is_leaf and tree.unmarked_branch.is_leaf
-
-    def test_four_sizes_depth_two(self):
-        tree = multi_hypothesis_schedule([0, 4, 8, 16], 256, 0.25, 100_001)
-        assert tree.depth == 2
-        assert tree.marked_branch.sizes == (0, 4)
-        assert tree.unmarked_branch.sizes == (8, 16)
-
-    def test_adversarial_close_sizes_unresolved(self):
-        # Fixture found by scanning: no odd l <= 99 separates these within 1e-12.
-        tree = multi_hypothesis_schedule([3, 4, 5], 64, 1e-12, 99)
-        nodes = [tree, tree.marked_branch]
-        assert any(not n.is_leaf and not n.resolved for n in nodes)
-        # Unresolved nodes do not abort the build: leaves all present.
-        assert tree.unmarked_branch.is_leaf
-        assert tree.marked_branch.marked_branch.is_leaf
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            multi_hypothesis_schedule([4], 64, 0.25, 99)
-        with pytest.raises(ValueError):
-            multi_hypothesis_schedule([4, 4], 64, 0.25, 99)
-        with pytest.raises(ValueError):
-            multi_hypothesis_schedule([4, 40], 64, 0.25, 99)
-        for threshold in (math.nan, 0.0, 1.0):
-            with pytest.raises(ValueError, match="threshold"):
-                multi_hypothesis_schedule([4, 8], 64, threshold, 99)
-
-
 def _chunk_starts() -> list[int]:
     """Index, in the sequence of scanned l, of the first l of each chunk.
 
@@ -299,24 +206,10 @@ def _reference_scan(angles, threshold, horizon, mode):
     return (int(ls[hits[0]]), scores[hits[0]]) if hits.size else None
 
 
-def _reference_kronecker(target, horizon):
-    step = 2 if target.parity == "odd" else 1
-    ls = np.arange(1, horizon + 1, step, dtype=np.float64)
-    raw = ls[:, None] * np.asarray(target.xis) - np.asarray(target.etas)
-    worst = np.abs(raw - np.round(raw)).max(axis=1)
-    hits = np.nonzero(worst < target.epsilon)[0]
-    return int(ls[hits[0]]) if hits.size else None
-
-
 def _hit_at(L: int) -> GroverAngles:
     # cos^2(l*theta_K/2) vanishes at l = L and, over odd l <= L, nowhere else
     # within (pi/L)^2; the strict orbit point reaches (1/4, 0) at l = L.
     return GroverAngles(theta_M=0.0, theta_K=math.pi / L, gamma=None)
-
-
-def _kronecker_hit_at(L: int, parity: str) -> KroneckerTarget:
-    # Residual of the first coordinate is 0.25*|1 - l/L|; the second is 0.
-    return KroneckerTarget((0.25 / L, 0.0), (0.25, 0.0), 0.1 / L, parity)
 
 
 STRICT_AND_RELAXED = (("relaxed", 1e-12), ("strict", 1e-9))
@@ -336,18 +229,6 @@ class TestGrowingScan:
             assert report.found and report.l == l_ref == L
             assert report.score == score_ref
 
-    @pytest.mark.parametrize("parity, step", (("odd", 2), ("any", 1)))
-    @pytest.mark.parametrize("position", range(3))
-    def test_kronecker_hit_on_chunk_boundary(self, parity, step, position):
-        L = 1 + step * HIT_INDICES[position]
-        target = _kronecker_hit_at(L, parity)
-        horizon = L + step * SCAN_CHUNK
-        hit = kronecker_search(target, horizon)
-        assert hit is not None and hit.l == _reference_kronecker(target, horizon) == L
-        assert kronecker_search(target, L).l == L
-        # One step earlier (the neighbouring chunk's edge) must not be accepted.
-        assert kronecker_search(target, L - 1) is None
-
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
     def test_horizon_shorter_than_first_chunk(self, mode, threshold):
         horizon = _FIRST_CHUNK - 1  # scanned in one partial first chunk
@@ -366,17 +247,12 @@ class TestGrowingScan:
         horizon = 1 + 2 * index
         assert minimal_odd_l(_hit_at(horizon), threshold, horizon, mode).l == horizon
         assert not minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode).found
-        for parity, step in (("odd", 2), ("any", 1)):
-            edge = 1 + step * index
-            assert kronecker_search(_kronecker_hit_at(edge, parity), edge).l == edge
-            assert kronecker_search(_kronecker_hit_at(edge + step, parity), edge) is None
 
     def test_exhausted_horizon_spanning_capped_chunks(self):
         horizon = 1 + 2 * (HIT_INDICES[2] + SCAN_CHUNK + 99)
         for mode, threshold in STRICT_AND_RELAXED:
             report = minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode)
             assert not report.found and report.l is None and report.horizon == horizon
-        assert kronecker_search(_kronecker_hit_at(horizon + 2, "odd"), horizon) is None
 
     @pytest.mark.parametrize("mode", ("relaxed", "strict"))
     def test_real_instances_match_whole_range_scan(self, mode):

@@ -74,6 +74,35 @@ GOLDEN = [
         0,
         "226f1f97098cbc798442a984c0d013eed62c3243eebb3f9c23f37ebf6ef9cdec",
     ),
+    # No README command reaches these paths: a strict scan that exhausts its
+    # horizon (127857), a relaxed hit at l = 4995677 deep in the 65536-wide
+    # chunks, and the --reduced and JSON table emitters.
+    (
+        "search --N 1048576 --M 37 --K 41 --tol 1e-6 --mode strict",
+        0,
+        "8be0a13af8b15bd70ac362053b0a4cb0dcb8f24fe55bb66e6dc7e800d71672b2",
+    ),
+    (
+        "search --N 1048576 --M 37 --K 41 --tol 1e-6 --horizon 9999999",
+        0,
+        "21174885ca85a29f0bf56ded2b6a117dddbd5c2e3347be132bd3ee09f841bc61",
+    ),
+    (
+        "table --N-range 1024:4096:1024 --M-range 4:64:4 --K-range 6:96:6 --reduced",
+        0,
+        "5bb1905780201e5ff218ff879aec9162321446869dd8809220255b125e617861",
+    ),
+    (
+        "table --N-range 1024:4096:1024 --M-range 4:64:4 --K-range 6:96:6 --format json",
+        0,
+        "8877be11c98f0a43ff2cdc33f5d44b618f3ca799dfbed6892e726b4c6d819422",
+    ),
+    (
+        "table --N-range 1024:4096:1024 --M-range 4:64:4 --K-range 6:96:6 --reduced"
+        " --format json",
+        0,
+        "2f1a759a821d6a49443525c499380a9840c4a97d0c5fcbc5bbb1a7fdf04e1577",
+    ),
 ]
 
 

@@ -109,6 +109,12 @@ class TestSimulate:
             simulate(8, {8}, 0)
         with pytest.raises(ValueError):
             simulate(8, [1, 1], 3)
+        with pytest.raises(ValueError):
+            simulate(8, [5, 1, 5], 3)
+        with pytest.raises(ValueError):
+            simulate(8, (i for i in (2, 7, 2)), 3)
+        with pytest.raises(IndexError):
+            simulate(8, (i for i in (2, 8)), 3)
 
     def test_zero_steps(self):
         np.testing.assert_array_equal(simulate(4, {1}, 0), init_uniform(4))
