@@ -323,6 +323,7 @@ def cmd_pad(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    make_instance(args.N, 0, 1)  # rejects a bad N even when no (M, K) pair fits under it
     bound = error_bound(args.epsilon)
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.

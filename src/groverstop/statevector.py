@@ -7,6 +7,14 @@ showed up would be a bug, and this representation makes it unrepresentable.
 Full simulation is capped at N = 2**22 (one float64 array); larger databases
 are served only by the 2D subspace model in ``core_model``.
 
+``run_discrimination`` does not step N amplitudes: the canonical marked set
+range(size) keeps the state two-valued (a on the marked amplitudes, b on the
+rest), and ``_canonical_state`` evolves just (a, b), replaying numpy's
+pairwise summation for the mean so that the result equals
+``simulate(N, range(size), m)`` bit for bit (tests pin this).  ``simulate``
+stays the brute-force lab over any marked set and the oracle the replay is
+checked against.
+
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
 and a Monte Carlo trial draws exactly one uniform from its stream; outputs
@@ -22,6 +30,7 @@ equals ``trial_rng(seed, trial).random()`` bit for bit (a test pins this), so
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
@@ -112,6 +121,104 @@ def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     state = init_uniform(N)
     for _ in range(m):
         _step(state, idx)
+    return state
+
+
+# numpy's float64 pairwise summation (pairwise_sum in
+# numpy/_core/src/umath/loops_utils.h.src), which ndarray.sum and ndarray.mean
+# run over a contiguous array in one piece, starting from the identity 0.0.
+_PW_UNROLL = 8
+_PW_BLOCK = 128
+
+
+def _pairwise_sum(lo, n, term, add, part):
+    """numpy's pairwise sum of term(lo), ..., term(lo + n - 1), n >= 1, with ``add`` for +.
+
+    Fewer than 8 terms are added in order (numpy starts from -0.0, which
+    changes no sum).  Up to 128 terms are dealt round-robin to 8 accumulators,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the terms past the
+    last multiple of 8 are added in order.  A longer run is split at n/2
+    rounded down to a multiple of 8, and ``part(lo, n)`` sums each half.
+    """
+    if n < _PW_UNROLL:
+        res = term(lo)
+        for i in range(lo + 1, lo + n):
+            res = add(res, term(i))
+        return res
+    if n <= _PW_BLOCK:
+        acc = [term(lo + j) for j in range(_PW_UNROLL)]
+        full = n - n % _PW_UNROLL
+        for i in range(_PW_UNROLL, full):
+            acc[i % _PW_UNROLL] = add(acc[i % _PW_UNROLL], term(lo + i))
+        res = add(add(add(acc[0], acc[1]), add(acc[2], acc[3])),
+                  add(add(acc[4], acc[5]), add(acc[6], acc[7])))
+        for i in range(lo + full, lo + n):
+            res = add(res, term(i))
+        return res
+    half = n // 2
+    half -= half % _PW_UNROLL
+    return add(part(lo, half), part(lo + half, n - half))
+
+
+def _sum_program(N: int, size: int) -> tuple[list[tuple[int, int, int]], int]:
+    """numpy's pairwise sum of the canonical state, as straight-line additions.
+
+    Register 0 holds the amplitude a of indices below ``size``, register 1
+    the amplitude b of the rest.  Running ``regs[dst] = regs[i] + regs[j]``
+    for each (dst, i, j) of the program, in order, leaves the sum of the N
+    amplitudes in ``regs[root]``.  Equal additions are emitted once (IEEE
+    addition commutes), and a uniform run is walked once per length, so the
+    program has O(log N) additions: only one run per level of the split
+    holds both values, and the 8 accumulators of that one block take at most
+    two distinct values.
+    """
+    program: list[tuple[int, int, int]] = []
+    registers: dict[tuple[int, int], int] = {}
+
+    def add(i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        reg = registers.get(key)
+        if reg is None:
+            reg = registers[key] = len(program) + 2
+            program.append((reg, *key))
+        return reg
+
+    def term(i: int) -> int:
+        return 0 if i < size else 1
+
+    uniform: dict[tuple[int, int], int] = {}  # (value register, length) -> sum register
+
+    def part(lo: int, n: int) -> int:
+        if lo < size < lo + n:
+            return _pairwise_sum(lo, n, term, add, part)
+        key = (term(lo), n)
+        if key not in uniform:
+            uniform[key] = _pairwise_sum(lo, n, term, add, part)
+        return uniform[key]
+
+    return program, part(0, N)
+
+
+def _canonical_state(N: int, size: int, m: int) -> np.ndarray:
+    """``simulate(N, range(size), m)``, bit for bit, in O(m log N) scalar work.
+
+    Every operation of a step but the mean is elementwise, so the state stays
+    a on range(size) and b on the rest.  A step negates a (the oracle), takes
+    t = 2 * mean from the replayed pairwise sum, and maps a, b to t - a, t - b
+    with the same float64 operations ``simulate`` applies to each amplitude.
+    """
+    program, root = _sum_program(N, size)
+    regs = [0.0] * (len(program) + 2)
+    a = b = 1.0 / math.sqrt(N)
+    for _ in range(m):
+        regs[0] = a = -a
+        regs[1] = b
+        for dst, i, j in program:
+            regs[dst] = regs[i] + regs[j]
+        t = 2.0 * ((0.0 + regs[root]) / N)
+        a, b = t - a, t - b
+    state = np.full(N, b)
+    state[:size] = a
     return state
 
 
@@ -269,9 +376,9 @@ def run_discrimination(
     m = (l-1)/2 iterations, one measurement, and the decision K iff the
     measured element is marked.  The dynamics are permutation-equivariant, so
     the decision has the same law as for the canonical set range(size): its
-    state is simulated once, and each trial samples one index from it with a
-    single uniform from ``trial_rng(seed, trial)``, computed for a block of
-    trials at a time.
+    state is evolved once by ``_canonical_state`` (equal to ``simulate`` bit
+    for bit), and each trial samples one index from it with a single uniform
+    from ``trial_rng(seed, trial)``, computed for a block of trials at a time.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
@@ -290,7 +397,7 @@ def run_discrimination(
     bound = error_bound(epsilon)
     size = instance.M if truth == "M" else instance.K
     m = (l - 1) // 2
-    cum = _cumulative(simulate(instance.N, range(size), m))
+    cum = _cumulative(_canonical_state(instance.N, size, m))
     decided_k = sum(
         int(np.count_nonzero(_sample(cum, u) < size)) for u in _trial_uniforms(seed, 0, trials)
     )

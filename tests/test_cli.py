@@ -389,6 +389,14 @@ class TestBadInputIsExitOne:
         )
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("N", ["0", "-5", str(2**48 + 1)])
+    def test_diagnose_bad_N(self, capsys, N):
+        code, out = run_cli(
+            capsys, "diagnose", "--N", N, "--M-range", "1:2", "--K-range", "2:3",
+            "--threshold", "2",
+        )
+        assert (code, out) == (1, "")
+
     @pytest.mark.parametrize("a", ["inf", "nan"])
     def test_pad_non_finite_ratio(self, capsys, a):
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)

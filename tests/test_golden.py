@@ -74,6 +74,29 @@ GOLDEN = [
         0,
         "226f1f97098cbc798442a984c0d013eed62c3243eebb3f9c23f37ebf6ef9cdec",
     ),
+    # Recorded with the brute-force N-amplitude simulation: 1627 steps at
+    # N = 2**16; 250 steps at an N that is not a multiple of 8; K = N, so
+    # the marked set fills the array; M = 0 and K = N together.
+    (
+        "experiment --N 65536 --M 12 --K 13 --l 3255 --trials 500 --seed 1001",
+        0,
+        "4e738486b99828d31d00a27a4324da848bdbebfcac6abfe5f1e1c50646de2f86",
+    ),
+    (
+        "experiment --N 131071 --M 100 --K 131 --l 501 --trials 3000 --seed 7",
+        0,
+        "3c6dd78466382cb44cd87ef3ed59e49a83ea5ed050c36c59b8bb35a2515b9062",
+    ),
+    (
+        "experiment --N 1003 --M 333 --K 1003 --l 9 --trials 5000 --seed 11",
+        0,
+        "1f59d3b554f98129fee86c1447bfb776959e8a6e9bc72cbbe8dadd2e30955515",
+    ),
+    (
+        "experiment --N 1000 --M 0 --K 1000 --l 7 --trials 100 --seed 2",
+        0,
+        "536fea2d71056d749cef91f8dee4b2d221f861692790e7d765ce8a022b69b9f8",
+    ),
     # No README command reaches these paths: a strict scan that exhausts its
     # horizon (127857), a relaxed hit at l = 4995677 deep in the 65536-wide
     # chunks, and the --reduced and JSON table emitters.

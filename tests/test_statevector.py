@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from groverstop import (
     simulate,
     state_after,
 )
-from groverstop.statevector import _TRIAL_BLOCK, FULL_SIM_CAP, _trial_uniforms, trial_rng
+from groverstop.statevector import (
+    _TRIAL_BLOCK,
+    FULL_SIM_CAP,
+    _canonical_state,
+    _pairwise_sum,
+    _trial_uniforms,
+    trial_rng,
+)
 
 
 class TestInitUniform:
@@ -149,6 +157,81 @@ class TestSimulate:
             np.testing.assert_allclose(direct, relabeled, atol=1e-12)
 
 
+def _replayed_sum(x: np.ndarray) -> float:
+    """np.add.reduce(x) as the replica computes it: identity 0.0 plus the pairwise sum."""
+    terms = x.tolist()
+
+    def part(lo, n):
+        return _pairwise_sum(lo, n, terms.__getitem__, operator.add, part)
+
+    return 0.0 + part(0, len(terms))
+
+
+def _bits(*values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestPairwiseSumReplica:
+    """The replica adds in numpy's order; a numpy that sums differently fails here."""
+
+    LENGTHS = [
+        *range(1, 10),
+        15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 257,
+        *(2**k + d for k in range(9, 17) for d in (-1, 1)),
+        100003,
+    ]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_add_reduce(self, n):
+        rng = np.random.default_rng(n)
+        # Mixed signs over 16 decades: a different order rounds differently.
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        assert _bits(_replayed_sum(x)) == _bits(np.add.reduce(x))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 129])
+    def test_signed_zeros(self, n):
+        x = np.full(n, -0.0)
+        assert _bits(_replayed_sum(x)) == _bits(np.add.reduce(x)) == _bits(0.0)
+
+
+def _assert_canonical(N, size, m):
+    got = _canonical_state(N, size, m)
+    want = simulate(N, range(size), m)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _boundaries(N):
+    """Marked-set sizes on the edges of numpy's summation blocks for an N-amplitude sum."""
+    half = N // 2 - N // 2 % 8
+    edges = {8, N - N % 8, half, half + 8} if N > 128 else {8, N - N % 8}
+    return sorted({0, 1, N - 1, N} | {e for e in edges if 0 < e < N})
+
+
+class TestCanonicalState:
+    """_canonical_state equals simulate(N, range(size), m) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "N", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 1031]
+    )
+    def test_block_boundaries(self, N):
+        for size in _boundaries(N):
+            for m in (0, 23):
+                _assert_canonical(N, size, m)
+
+    @pytest.mark.parametrize("size", [0, 1, 12, 65535, 65536, 65543, 131070, 131071])
+    def test_n_not_a_multiple_of_8(self, size):
+        # 131071 splits into 65528 + 65543; 65543 is past the split point.
+        _assert_canonical(131071, size, 40)
+
+    def test_at_full_sim_cap(self):
+        _assert_canonical(FULL_SIM_CAP, 37, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 3000), m=st.integers(0, 60))
+    def test_random_instances(self, data, N, m):
+        _assert_canonical(N, data.draw(st.integers(0, N)), m)
+
+
 class TestMeasure:
     def test_basis_state_deterministic(self):
         state = np.zeros(8)
@@ -215,6 +298,21 @@ class TestTrialUniforms:
         _assert_matches_trial_rng(seed, start, start + count)
 
 
+def _record_state_evolutions(monkeypatch) -> list[tuple]:
+    """Patch run_discrimination's state evolution to log its (N, size, m) calls."""
+    import groverstop.statevector as sv
+
+    evolved = []
+    real = sv._canonical_state
+
+    def recording(*args):
+        evolved.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sv, "_canonical_state", recording)
+    return evolved
+
+
 class TestRunDiscrimination:
     def test_exact_case_zero_errors(self):
         inst = make_instance(4, 0, 1)
@@ -267,14 +365,12 @@ class TestRunDiscrimination:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected_before_simulation(self, monkeypatch, seed):
-        import groverstop.statevector as sv
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate ran before the seed was validated")
-
-        monkeypatch.setattr(sv, "simulate", no_simulation)
+        evolved = _record_state_evolutions(monkeypatch)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=seed)
+        assert evolved == []
+        run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=0)
+        assert evolved == [(256, 4, 1)]  # the patched function is the one in use
 
     def test_numpy_integer_seed(self):
         inst = make_instance(256, 4, 6)
@@ -284,11 +380,9 @@ class TestRunDiscrimination:
 
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
-        import groverstop.statevector as sv
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate ran before epsilon was validated")
-
-        monkeypatch.setattr(sv, "simulate", no_simulation)
+        evolved = _record_state_evolutions(monkeypatch)
         with pytest.raises(ValueError, match="epsilon"):
             run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=0, epsilon=epsilon)
+        assert evolved == []
+        run_discrimination(make_instance(256, 4, 6), "K", 5, 10, seed=0, epsilon=0.1)
+        assert evolved == [(256, 6, 2)]  # the patched function is the one in use
