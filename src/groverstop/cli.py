@@ -12,12 +12,12 @@ JSON uses the same field names, with null where CSV leaves a cell empty.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from dataclasses import asdict
-from typing import Any, Iterable, Sequence, TextIO
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -45,29 +45,39 @@ from .transforms import (
     reduce_common_divisor,
 )
 
-__all__ = ["main", "entry", "TABLE_FIELDS"]
+__all__ = ["main", "entry", "TABLE_FIELDS", "TableRow"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_USAGE = 64
 
-TABLE_FIELDS = [
-    "N",
-    "M",
-    "K",
-    "theta_M",
-    "theta_K",
-    "gamma",
-    "applicable",
-    "p",
-    "s",
-    "l_constructive",
-    "l_minimal",
-    "l_bound",
-    "fail_K",
-    "fail_M",
-]
+
+@dataclass
+class TableRow:
+    """One `table` row; the field order is the CSV column order.
+
+    The constructive fields (p, s, l_constructive) are set only when the rule
+    is fully certified.
+    """
+
+    N: int
+    M: int
+    K: int
+    theta_M: float
+    theta_K: float
+    gamma: float | None
+    applicable: bool
+    p: int | None
+    s: int | None
+    l_constructive: int | None
+    l_minimal: int | None
+    l_bound: float
+    fail_K: float | None
+    fail_M: float | None
+
+
+TABLE_FIELDS = [f.name for f in fields(TableRow)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,12 +102,12 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(fieldnames: Sequence[str], rows: Iterable[dict], stream: TextIO) -> None:
+def _csv_text(fieldnames: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     # Cells are None, bool, int, float or field names: none holds a comma,
     # quote or newline, so none needs quoting.
-    stream.write(",".join(fieldnames) + "\n")
-    for row in rows:
-        stream.write(",".join([_csv_cell(row[name]) for name in fieldnames]) + "\n")
+    lines = [",".join(fieldnames)]
+    lines += [",".join([_csv_cell(value) for value in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -125,47 +135,32 @@ def _parse_range(spec: str) -> range:
     raise ValueError(f"bad range spec {spec!r}; expected START:STOP[:STEP]")
 
 
-def _as_json(obj) -> dict:
-    """A report dataclass as a JSON object, plus its computed flag if it has one."""
-    out = asdict(obj)
-    for flag in ("all_ok", "certified"):
-        if hasattr(obj, flag):
-            out[flag] = getattr(obj, flag)
-    return out
-
-
 def cmd_rule(args: argparse.Namespace) -> int:
     instance = make_instance(args.N, args.M, args.K)
     bound = error_bound(args.epsilon)
     app = check_applicability(instance)
     report: dict[str, Any] = {
-        "instance": _as_json(instance),
-        "applicability": _as_json(app),
+        "instance": asdict(instance),
+        "applicability": asdict(app),
         "epsilon": args.epsilon,
     }
     if instance.M == 0:
         # Degenerate hypothesis pair (0 vs K): plain Grover, answered by search.
         search = minimal_odd_l(angles_of(instance), bound, default_horizon(instance))
         report["path"] = "plain-grover"
-        report["search"] = _as_json(search)
+        report["search"] = asdict(search)
         _emit(_json_dump(report), args.out)
         return EXIT_OK
     report["path"] = "constructive"
     try:
         rule = construct_rule(instance, best_effort=args.best_effort)
     except (NotApplicable, GammaTooLarge) as exc:
-        if not app.ordering_ok:
-            reason = "ordering"
-        elif not app.size_condition_ok:
-            reason = "size_condition"
-        else:
-            reason = "gamma_too_large"
-        report["reason"] = reason
+        report["reason"] = exc.reason
         report["error"] = str(exc)
         _emit(_json_dump(report), args.out)
         return EXIT_NOT_APPLICABLE
-    report["rule"] = _as_json(rule)
-    report["certificate"] = _as_json(certify(rule, instance, args.epsilon))
+    report["rule"] = asdict(rule)
+    report["certificate"] = asdict(certify(rule, instance, args.epsilon))
     _emit(_json_dump(report), args.out)
     return EXIT_OK
 
@@ -175,7 +170,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
     report = minimal_odd_l(angles_of(instance), args.tol, horizon, args.mode)
     _emit(
-        _json_dump({"instance": _as_json(instance), "search": _as_json(report)}),
+        _json_dump({"instance": asdict(instance), "search": asdict(report)}),
         args.out,
     )
     return EXIT_OK
@@ -191,59 +186,38 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     distance = target_distance(x_K, x_M)
     # The exact parts are computed for all rows at once; the trig stays scalar
     # libm per l, which vectorised numpy need not match in the last ulp.
-    rows = [
-        {
-            "l": l,
-            "x_K": xk,
-            "x_M": xm,
-            "strict_distance": d,
-            "relaxed_score": relaxed_score(l, angles),
-        }
-        for l, xk, xm, d in zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist())
-    ]
-    buf = io.StringIO()
-    _write_csv(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows, buf)
-    _emit(buf.getvalue(), args.out)
+    l_list = ls.tolist()
+    scores = [relaxed_score(l, angles) for l in l_list]
+    rows = zip(l_list, x_K.tolist(), x_M.tolist(), distance.tolist(), scores)
+    _emit(_csv_text(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows), args.out)
     return EXIT_OK
 
 
 def build_table_row(
     N: int, M: int, K: int, epsilon: float, horizon: int | None = None
-) -> dict:
-    """One table row; constructive fields present only when fully certified."""
+) -> TableRow:
+    """One table row: the minimal l's failure pair, else the certified rule's."""
     instance = make_instance(N, M, K)
     angles = angles_of(instance)
-    row: dict[str, Any] = {
-        "N": N,
-        "M": M,
-        "K": K,
-        "theta_M": angles.theta_M,
-        "theta_K": angles.theta_K,
-        "gamma": angles.gamma,
-        "applicable": check_applicability(instance).all_ok,
-        "p": None,
-        "s": None,
-        "l_constructive": None,
-        "l_minimal": None,
-        "l_bound": iteration_bound(instance).l_bound,
-        "fail_K": None,
-        "fail_M": None,
-    }
+    applicable = check_applicability(instance).all_ok
+    l_bound = iteration_bound(instance).l_bound
+    p = s = l_constructive = l_minimal = fail_K = fail_M = None
     if M > 0:
         rule = construct_rule(instance, best_effort=True)
-        if certify(rule, instance, epsilon).certified:
-            row["p"], row["s"], row["l_constructive"] = rule.p, rule.s, rule.l
+        certificate = certify(rule, instance, epsilon)
+        if certificate.certified:
+            p, s, l_constructive = rule.p, rule.s, rule.l
+            fail_K, fail_M = certificate.fail_K, certificate.fail_M
     scan_horizon = horizon if horizon is not None else default_horizon(instance)
-    if row["l_constructive"] is not None:
-        scan_horizon = max(scan_horizon, row["l_constructive"])
+    if l_constructive is not None:
+        scan_horizon = max(scan_horizon, l_constructive)
     search = minimal_odd_l(angles, error_bound(epsilon), scan_horizon)
     if search.found:
-        row["l_minimal"] = search.l
-        row["fail_K"], row["fail_M"] = search.fail_K, search.fail_M
-    elif row["l_constructive"] is not None:
-        fails = failure_probabilities(row["l_constructive"], angles)
-        row["fail_K"], row["fail_M"] = fails.fail_K, fails.fail_M
-    return row
+        l_minimal, fail_K, fail_M = search.l, search.fail_K, search.fail_M
+    return TableRow(
+        N, M, K, angles.theta_M, angles.theta_K, angles.gamma, applicable,
+        p, s, l_constructive, l_minimal, l_bound, fail_K, fail_M,
+    )
 
 
 def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
@@ -281,11 +255,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     if not any_triple:
         raise ValueError("empty grid")
     if args.format == "json":
-        _emit(_json_dump(rows), args.out)
+        _emit(_json_dump([asdict(row) for row in rows]), args.out)
     else:
-        buf = io.StringIO()
-        _write_csv(TABLE_FIELDS, rows, buf)
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(TABLE_FIELDS, map(attrgetter(*TABLE_FIELDS), rows)), args.out)
     return EXIT_OK
 
 
@@ -296,18 +268,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         outcome = run_discrimination(
             instance, truth, args.l, args.trials, args.seed, args.epsilon
         )
-        outcomes[truth] = _as_json(outcome)
+        outcomes[truth] = asdict(outcome)
     expected = failure_probabilities(args.l, angles_of(instance))
     _emit(
         _json_dump(
             {
-                "instance": _as_json(instance),
+                "instance": asdict(instance),
                 "l": args.l,
                 "trials": args.trials,
                 "seed": args.seed,
                 "epsilon": args.epsilon,
                 "rng_algorithm": RNG_ALGORITHM,
-                "expected": _as_json(expected),
+                "expected": asdict(expected),
                 "outcomes": outcomes,
             }
         ),
@@ -318,7 +290,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_pad(args: argparse.Namespace) -> int:
     padded = pad_for_ratio(args.M, args.N, args.a, args.epsilon)
-    _emit(_json_dump(_as_json(padded)), args.out)
+    _emit(_json_dump(asdict(padded)), args.out)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ would mask regressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core_model import ProblemInstance, angles_of, error_bound, failure_kernel
 from .transforms import iteration_bound
@@ -43,7 +43,14 @@ DEFAULT_EPSILON = 1.0 / 12.0
 
 
 class NotApplicable(ValueError):
-    """The instance fails an applicability flag and strict mode was requested."""
+    """The instance fails an applicability flag and strict mode was requested.
+
+    ``reason`` names the first failed flag: ``ordering`` or ``size_condition``.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"applicability flag failed: {reason}")
+        self.reason = reason
 
 
 class DegenerateM(ValueError):
@@ -53,6 +60,8 @@ class DegenerateM(ValueError):
 class GammaTooLarge(ValueError):
     """gamma - 1 > 1/4, outside the construction's assumed range (strict mode)."""
 
+    reason = "gamma_too_large"
+
 
 @dataclass(frozen=True)
 class Applicability:
@@ -60,10 +69,11 @@ class Applicability:
     size_condition_ok: bool  # sqrt(K) < 16*(gamma-1)^2*sqrt(N)
     gamma_small_ok: bool  # gamma - 1 <= 1/4
     epsilon_bound: float | None  # minimal eps with K < (1 + eps/(2*sqrt(2)))^2 * M
+    all_ok: bool = field(init=False)
 
-    @property
-    def all_ok(self) -> bool:
-        return self.ordering_ok and self.size_condition_ok and self.gamma_small_ok
+    def __post_init__(self) -> None:
+        all_ok = self.ordering_ok and self.size_condition_ok and self.gamma_small_ok
+        object.__setattr__(self, "all_ok", all_ok)
 
 
 @dataclass(frozen=True)
@@ -93,10 +103,10 @@ class CertificateReport:
     fail_K_ok: bool  # fail_K < sin^2(2*pi*epsilon)
     fail_M_ok: bool
     l_within_bound: bool  # l <= l_bound
+    certified: bool = field(init=False)
 
-    @property
-    def certified(self) -> bool:
-        return (
+    def __post_init__(self) -> None:
+        certified = (
             self.l_odd
             and self.residual_K_ok
             and self.residual_M_ok
@@ -105,6 +115,7 @@ class CertificateReport:
             and self.fail_M_ok
             and self.l_within_bound
         )
+        object.__setattr__(self, "certified", certified)
 
 
 def check_applicability(instance: ProblemInstance) -> Applicability:
@@ -124,7 +135,7 @@ def check_applicability(instance: ProblemInstance) -> Applicability:
         ordering_ok=ordering_ok,
         size_condition_ok=size_condition_ok,
         gamma_small_ok=excess <= 0.25,
-        epsilon_bound=2.0 * math.sqrt(2.0) * (math.sqrt(instance.K / instance.M) - 1.0),
+        epsilon_bound=2.0 * gamma_upper_bound(instance),
     )
 
 
@@ -159,8 +170,7 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
     if not best_effort:
         app = check_applicability(instance)
         if not (app.ordering_ok and app.size_condition_ok):
-            failed = "ordering" if not app.ordering_ok else "size_condition"
-            raise NotApplicable(f"applicability flag failed: {failed}")
+            raise NotApplicable("ordering" if not app.ordering_ok else "size_condition")
         if not app.gamma_small_ok:
             raise GammaTooLarge("gamma - 1 > 1/4; retry with best_effort or search")
 

@@ -6,6 +6,7 @@ pass/fail verdict printed per criterion.
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_criterion_9_invariance_suite(capsys, tmp_path):
     for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 0, 5), (4096, 32, 48)]):
         parsed = dict(zip(TABLE_FIELDS, line.split(",")))
         row = build_table_row(n, m, k, 1.0 / 12.0)
-        for field, value in row.items():
+        for field, value in asdict(row).items():
             cell = parsed[field]
             if value is None:
                 ok &= cell == ""

@@ -2,10 +2,20 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from groverstop.cli import TABLE_FIELDS, _csv_cell, _write_csv, build_table_row, main
+from groverstop import (
+    SearchReport,
+    angles_of,
+    certify,
+    cli,
+    construct_rule,
+    failure_probabilities,
+    make_instance,
+)
+from groverstop.cli import TABLE_FIELDS, _csv_cell, _csv_text, build_table_row, main
 
 
 def run_cli(capsys, *argv):
@@ -124,7 +134,7 @@ class TestTableCommand:
         for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 32, 48)]):
             parsed = dict(zip(TABLE_FIELDS, line.split(",")))
             row = build_table_row(n, m, k, 1.0 / 12.0)
-            for field, value in row.items():
+            for field, value in asdict(row).items():
                 cell = parsed[field]
                 if value is None:
                     assert cell == ""
@@ -167,19 +177,32 @@ class TestTableCommand:
     def test_csv_matches_csv_writer(self):
         fields = ["a", "b_c", "d", "e"]
         rows = [
-            {"a": None, "b_c": True, "d": 0, "e": math.inf},
-            {"a": -0.0, "b_c": False, "d": -7, "e": -math.inf},
-            {"a": 1e-300, "b_c": None, "d": 2**60, "e": 0.1},
-            {"a": math.nan, "b_c": 3, "d": None, "e": -1.5e17},
+            (None, True, 0, math.inf),
+            (-0.0, False, -7, -math.inf),
+            (1e-300, None, 2**60, 0.1),
+            (math.nan, 3, None, -1.5e17),
         ]
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([_csv_cell(row[name]) for name in fields])
-        out = io.StringIO()
-        _write_csv(fields, rows, out)
-        assert out.getvalue() == reference.getvalue()
+            writer.writerow([_csv_cell(value) for value in row])
+        assert _csv_text(fields, rows) == reference.getvalue()
+
+    def test_scan_miss_keeps_certified_rule(self, monkeypatch):
+        # The scan cannot miss below a certified l, so force the miss.
+        def missed(angles, threshold, horizon, mode="relaxed"):
+            return SearchReport(False, None, None, None, None, horizon, mode, threshold)
+
+        monkeypatch.setattr(cli, "minimal_odd_l", missed)
+        row = build_table_row(65536, 12, 13, 1.0 / 12.0)
+        instance = make_instance(65536, 12, 13)
+        rule = construct_rule(instance)
+        cert = certify(rule, instance, 1.0 / 12.0)
+        fails = failure_probabilities(rule.l, angles_of(instance))
+        assert row.l_constructive == rule.l == 3255 and row.l_minimal is None
+        assert (row.fail_K, row.fail_M) == (cert.fail_K, cert.fail_M)
+        assert (row.fail_K, row.fail_M) == (fails.fail_K, fails.fail_M)
 
 
 class TestExperimentCommand:

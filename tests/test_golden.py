@@ -97,6 +97,13 @@ GOLDEN = [
         0,
         "536fea2d71056d749cef91f8dee4b2d221f861692790e7d765ce8a022b69b9f8",
     ),
+    # Strict rule refused for gamma - 1 > 1/4 alone: ordering and the size
+    # condition hold, so the reason is gamma_too_large.
+    (
+        "rule --N 1000000 --M 1 --K 2",
+        2,
+        "6e223c37aa9a6a85c1f72621b0a436c267254ee7400e5306fe6eb7cb7fd46590",
+    ),
     # No README command reaches these paths: a strict scan that exhausts its
     # horizon (127857), a relaxed hit at l = 4995677 deep in the 65536-wide
     # chunks, and the --reduced and JSON table emitters.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import mpmath as mp
 import numpy as np
@@ -98,6 +99,8 @@ class TestGammaUpperBound:
             M = int(rng.integers(1, K))
             inst = make_instance(N, M, K)
             assert angles_of(inst).gamma - 1 < gamma_upper_bound(inst)
+            epsilon_bound = 2 * math.sqrt(2) * (math.sqrt(K / M) - 1)
+            assert check_applicability(inst).epsilon_bound == epsilon_bound
 
 
 class TestConstructRule:
@@ -119,12 +122,17 @@ class TestConstructRule:
         assert rule.m == (rule.l - 1) // 2
 
     def test_not_applicable_strict(self):
-        with pytest.raises(NotApplicable):
-            construct_rule(make_instance(100, 1, 60))
+        for N, M, K, reason in [(100, 1, 60, "ordering"), (1 << 20, 740, 800, "size_condition")]:
+            with pytest.raises(NotApplicable) as exc:
+                construct_rule(make_instance(N, M, K))
+            assert exc.value.reason == reason
+            assert str(exc.value) == f"applicability flag failed: {reason}"
 
     def test_gamma_too_large_strict(self):
-        with pytest.raises(GammaTooLarge):
+        with pytest.raises(GammaTooLarge) as exc:
             construct_rule(make_instance(10**6, 1, 2))
+        assert exc.value.reason == "gamma_too_large"
+        assert str(exc.value) == "gamma - 1 > 1/4; retry with best_effort or search"
 
     def test_degenerate_m(self):
         with pytest.raises(DegenerateM):
@@ -181,6 +189,22 @@ class TestCertify:
         )
         assert not certify(broken, inst).l_odd
         assert not certify(broken, inst).certified
+
+    def test_flags_are_serialized_fields(self):
+        applicable = make_instance(65536, 12, 13)
+        cases = [(applicable, True), (make_instance(4, 0, 1), False),
+                 (make_instance(100, 1, 60), False)]
+        for inst, all_ok in cases:
+            app = asdict(check_applicability(inst))
+            flags = app["ordering_ok"] and app["size_condition_ok"] and app["gamma_small_ok"]
+            assert app["all_ok"] == flags == all_ok
+        rule = construct_rule(applicable)
+        broken = StoppingRule(**{**asdict(rule), "l": rule.l + 1})
+        checks = ("l_odd", "residual_K_ok", "residual_M_ok", "epsilon_covers_gamma",
+                  "fail_K_ok", "fail_M_ok", "l_within_bound")
+        for r, certified in ((rule, True), (broken, False)):
+            cert = asdict(certify(r, applicable))
+            assert cert["certified"] == all(cert[name] for name in checks) == certified
 
     def test_certify_m_zero_refused(self):
         inst = make_instance(1 << 12, 8, 12)
