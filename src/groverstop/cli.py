@@ -238,7 +238,15 @@ def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
                 yield n, m, k
 
 
+def _check_horizon(horizon: int | None) -> None:
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {horizon}")
+
+
 def cmd_table(args: argparse.Namespace) -> int:
+    # Bad flags fail even when every triple of the grid is skipped.
+    error_bound(args.epsilon)
+    _check_horizon(args.horizon)
     rows = []
     seen_scaled: set[tuple[int, int, int]] = set()
     any_triple = False
@@ -297,6 +305,7 @@ def cmd_pad(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     make_instance(args.N, 0, 1)  # rejects a bad N even when no (M, K) pair fits under it
     bound = error_bound(args.epsilon)
+    _check_horizon(args.horizon)
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")

@@ -11,9 +11,12 @@ are served only by the 2D subspace model in ``core_model``.
 range(size) keeps the state two-valued (a on the marked amplitudes, b on the
 rest), and ``_canonical_state`` evolves just (a, b), replaying numpy's
 pairwise summation for the mean so that the result equals
-``simulate(N, range(size), m)`` bit for bit (tests pin this).  ``simulate``
-stays the brute-force lab over any marked set and the oracle the replay is
-checked against.
+``simulate(N, range(size), m)`` bit for bit (tests pin this).  The sum is
+compiled once per (N, size) into a Python function of straight-line
+additions.  ``simulate`` stays the brute-force lab over any marked set and
+the oracle the replay is checked against.  Each trial is then decided by one
+comparison of its scaled uniform against ``cum[size - 1]``, the cumulative
+probability of the marked set.
 
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
@@ -30,10 +33,11 @@ equals ``trial_rng(seed, trial).random()`` bit for bit (a test pins this), so
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -199,6 +203,32 @@ def _sum_program(N: int, size: int) -> tuple[list[tuple[int, int, int]], int]:
     return program, part(0, N)
 
 
+@functools.lru_cache(maxsize=8)
+def _evolver(N: int, size: int) -> Callable[[float, float, int], tuple[float, float]]:
+    """``evolve(a, b, m)``: m steps of the canonical state, compiled for (N, size).
+
+    The loop body is ``_sum_program`` written out as local additions, so a step
+    runs at local-variable speed with the float operations in the same order:
+    negate a, run the additions, t = 2 * mean, then a, b = t - a, t - b.  The
+    source is built from register numbers and N alone, the way ``dataclasses``
+    and ``namedtuple`` build code; a function is compiled on its first use.
+    """
+    program, root = _sum_program(N, size)
+    name = ["a", "b", *(f"r{reg}" for reg in range(2, len(program) + 2))]
+    lines = [
+        "def evolve(a, b, m):",
+        "    for _ in range(m):",
+        "        a = -a",
+        *(f"        {name[dst]} = {name[i]} + {name[j]}" for dst, i, j in program),
+        f"        t = 2.0 * ((0.0 + {name[root]}) / {N:d})",
+        "        a, b = t - a, t - b",
+        "    return a, b",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<evolve N={N} size={size}>", "exec"), namespace)
+    return namespace["evolve"]
+
+
 def _canonical_state(N: int, size: int, m: int) -> np.ndarray:
     """``simulate(N, range(size), m)``, bit for bit, in O(m log N) scalar work.
 
@@ -207,16 +237,8 @@ def _canonical_state(N: int, size: int, m: int) -> np.ndarray:
     t = 2 * mean from the replayed pairwise sum, and maps a, b to t - a, t - b
     with the same float64 operations ``simulate`` applies to each amplitude.
     """
-    program, root = _sum_program(N, size)
-    regs = [0.0] * (len(program) + 2)
     a = b = 1.0 / math.sqrt(N)
-    for _ in range(m):
-        regs[0] = a = -a
-        regs[1] = b
-        for dst, i, j in program:
-            regs[dst] = regs[i] + regs[j]
-        t = 2.0 * ((0.0 + regs[root]) / N)
-        a, b = t - a, t - b
+    a, b = _evolver(N, size)(a, b, m)
     state = np.full(N, b)
     state[:size] = a
     return state
@@ -233,6 +255,18 @@ def _cumulative(state: np.ndarray) -> np.ndarray:
 def _sample(cum: np.ndarray, u: float | np.ndarray):
     """Basis index (or indices) that the uniform(s) ``u`` in [0, 1) select."""
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+
+def _decides_k(cum: np.ndarray, size: int, u: np.ndarray) -> np.ndarray:
+    """``_sample(cum, u) < size``, by one comparison per uniform.
+
+    ``cum`` is a running sum of squares, so nondecreasing: the sampled index
+    is below ``size`` exactly when u * cum[-1] falls below cum[size - 1].  No
+    index is below 0, and ``_sample`` clamps every index to N - 1 < N, so the
+    edge is -inf for size 0 and inf for size N (u * cum[-1] is finite).
+    """
+    edge = -math.inf if size == 0 else math.inf if size == len(cum) else cum[size - 1]
+    return u * cum[-1] < edge
 
 
 def measure(state: np.ndarray, rng: np.random.Generator) -> int:
@@ -379,6 +413,8 @@ def run_discrimination(
     state is evolved once by ``_canonical_state`` (equal to ``simulate`` bit
     for bit), and each trial samples one index from it with a single uniform
     from ``trial_rng(seed, trial)``, computed for a block of trials at a time.
+    Whether that index is marked is one comparison against ``cum[size - 1]``;
+    no index is looked up.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
@@ -399,7 +435,7 @@ def run_discrimination(
     m = (l - 1) // 2
     cum = _cumulative(_canonical_state(instance.N, size, m))
     decided_k = sum(
-        int(np.count_nonzero(_sample(cum, u) < size)) for u in _trial_uniforms(seed, 0, trials)
+        int(np.count_nonzero(_decides_k(cum, size, u))) for u in _trial_uniforms(seed, 0, trials)
     )
     errors = decided_k if truth == "M" else trials - decided_k
     return DiscriminationOutcome(

@@ -420,6 +420,36 @@ class TestBadInputIsExitOne:
         )
         assert (code, out) == (1, "")
 
+    # The grids below hold no valid triple, so a bad flag is the only error.
+    @pytest.mark.parametrize(
+        "flag, value", [("--epsilon", "2"), ("--epsilon", "nan"), ("--horizon", "-3"),
+                        ("--horizon", "0")]
+    )
+    def test_table_every_triple_skipped(self, capsys, flag, value):
+        code, out = run_cli(
+            capsys, "table", "--N-range", "10", "--M-range", "5", "--K-range", "1", flag, value
+        )
+        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--epsilon", "2"), ("--horizon", "-3"), ("--horizon", "0")]
+    )
+    def test_diagnose_every_pair_skipped(self, capsys, flag, value):
+        code, out = run_cli(
+            capsys, "diagnose", "--N", "10", "--M-range", "5:5", "--K-range", "1:1",
+            "--threshold", "1", flag, value,
+        )
+        assert (code, out) == (1, "")
+
+    def test_table_horizon_rejected_for_certified_rule(self, capsys):
+        # The scan horizon is raised to the certified rule's l, which used to
+        # hide a bad --horizon on this triple.
+        code, out = run_cli(
+            capsys, "table", "--N-range", "65536", "--M-range", "12", "--K-range", "13",
+            "--horizon", "-3",
+        )
+        assert (code, out) == (1, "")
+
     @pytest.mark.parametrize("a", ["inf", "nan"])
     def test_pad_non_finite_ratio(self, capsys, a):
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)

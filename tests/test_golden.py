@@ -97,6 +97,19 @@ GOLDEN = [
         0,
         "536fea2d71056d749cef91f8dee4b2d221f861692790e7d765ce8a022b69b9f8",
     ),
+    # Recorded before each trial was decided by one comparison and the sum
+    # program was compiled: the full-simulation cap, and the benchmark's
+    # trial-heavy command.
+    (
+        "experiment --N 4194304 --M 37 --K 41 --l 10571 --trials 2000 --seed 3",
+        0,
+        "6a7bc4698c9a8a772a0976caee87da58a1a176cc1812511b6bbf1bb9677f61c0",
+    ),
+    (
+        "experiment --N 4096 --M 8 --K 12 --l 79 --trials 5000 --seed 1001",
+        0,
+        "87f0b703b41bc43b0dd5888fb2528c4b01782c2efe61318ce2fa84f573143f99",
+    ),
     # Strict rule refused for gamma - 1 > 1/4 alone: ordering and the size
     # condition hold, so the reason is gamma_too_large.
     (

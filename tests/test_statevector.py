@@ -1,5 +1,8 @@
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,11 @@ from groverstop.statevector import (
     _TRIAL_BLOCK,
     FULL_SIM_CAP,
     _canonical_state,
+    _cumulative,
+    _decides_k,
+    _evolver,
     _pairwise_sum,
+    _sample,
     _trial_uniforms,
     trial_rng,
 )
@@ -232,6 +239,94 @@ class TestCanonicalState:
         _assert_canonical(N, data.draw(st.integers(0, N)), m)
 
 
+class TestEvolver:
+    """The compiled sum program: built lazily, memoized in a bounded cache."""
+
+    def test_import_compiles_nothing(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import groverstop.cli, groverstop.statevector as sv; "
+            "print(sv._evolver.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=60,
+        ).stdout
+        assert out == "0\n"
+
+    def test_cache_is_bounded(self):
+        bound = _evolver.cache_info().maxsize
+        assert bound is not None and 2 <= bound <= 64  # one experiment needs two
+        for size in range(bound + 3):
+            _evolver(1031, size)
+        assert _evolver.cache_info().currsize == bound
+
+    def test_one_function_per_instance(self):
+        assert _evolver(1031, 5) is _evolver(1031, 5)
+        assert _evolver(1031, 5) is not _evolver(1031, 6)
+
+
+def _two_valued_cum(N, size, a, b):
+    return np.cumsum(np.where(np.arange(N) < size, a * a, b * b))
+
+
+def _probe_uniforms(cum, size):
+    """A grid over [0, 1), the largest uniform below 1, and uniforms within
+    3 ulps of c / cum[-1] for the values c of cum next to cum[size - 1].
+
+    Among them are uniforms with u * cum[-1] == c exactly, the ties between
+    the comparison and searchsorted's side="right".
+    """
+    us = [*np.linspace(0.0, 1.0, 65)[:-1], np.nextafter(1.0, 0.0)]
+    if cum[-1] > 0:
+        for q in cum[max(size - 2, 0) : size + 1] / cum[-1]:
+            below = above = q
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+                us += [below, above]
+            us.append(q)
+    return np.array([u for u in us if 0.0 <= u < 1.0])
+
+
+class TestDecidesK:
+    """One comparison against cum[size - 1] equals _sample(cum, u) < size."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 129, 1031])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.6, 0.05),
+            (0.0, 0.25),  # flat run over the marked indices
+            (0.25, 0.0),  # flat run over the rest
+            (0.0, 0.0),
+            (0.125, 0.125),  # dyadic: cum[-1] is a power of two
+        ],
+    )
+    def test_matches_sample(self, N, a, b):
+        for size in sorted({0, 1, max(N - 1, 0), N}):
+            cum = _two_valued_cum(N, size, a, b)
+            u = _probe_uniforms(cum, size)
+            np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+
+    @pytest.mark.parametrize("N, size, m", [(4096, 8, 39), (4096, 12, 39), (65536, 13, 1627)])
+    def test_canonical_states_with_ties(self, N, size, m):
+        cum = _cumulative(_canonical_state(N, size, m))
+        u = _probe_uniforms(cum, size)
+        assert np.any(u * cum[-1] == cum[size - 1])  # the probe hits a tie
+        np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+
+    def test_exact_ties_decide_m(self):
+        # cum = 1/16, 2/16, ..., 1: u = cum[size - 1] is a tie, and searchsorted's
+        # side="right" puts the sample at index size, which is unmarked.
+        cum = _two_valued_cum(16, 5, 0.25, 0.25)
+        u = cum[:-1].copy()
+        for size in range(1, 16):
+            assert u[size - 1] * cum[-1] == cum[size - 1]
+            np.testing.assert_array_equal(_decides_k(cum, size, u), np.arange(1, 16) < size)
+            np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+
+
 class TestMeasure:
     def test_basis_state_deterministic(self):
         state = np.zeros(8)
@@ -362,6 +457,26 @@ class TestRunDiscrimination:
         big = make_instance(FULL_SIM_CAP * 2, 1, 2)
         with pytest.raises(ValueError):
             run_discrimination(big, "M", 3, 10, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        N=st.integers(1, 2000),
+        m=st.integers(0, 40),
+        trials=st.integers(1, 400),
+        seed=st.integers(0, 2**64),
+    )
+    def test_matches_searchsorted_reference(self, data, N, m, trials, seed):
+        K = data.draw(st.integers(1, N))
+        inst = make_instance(N, data.draw(st.integers(0, K - 1)), K)
+        l = 2 * m + 1
+        for truth, size in (("M", inst.M), ("K", inst.K)):
+            cum = np.cumsum(simulate(N, range(size), m) ** 2)
+            u = np.array([trial_rng(seed, t).random() for t in range(trials)])
+            index = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), N - 1)
+            decided_k = int(np.count_nonzero(index < size))
+            errors = decided_k if truth == "M" else trials - decided_k
+            assert run_discrimination(inst, truth, l, trials, seed).errors == errors
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected_before_simulation(self, monkeypatch, seed):
