@@ -12,6 +12,7 @@ JSON uses the same field names, with null where CSV leaves a cell empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,12 +22,21 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core_model import angles_of, error_bound, failure_probabilities, make_instance
+from .core_model import (
+    GroverAngles,
+    angles_of,
+    error_bound,
+    failure_kernel,
+    failure_probabilities,
+    make_instance,
+)
 from .diophantine import (
     default_horizon,
+    horizon_for_bound,
     minimal_odd_l,
     orbit_coords,
     relaxed_score,
+    scan_rows,
     target_distance,
 )
 from .statevector import RNG_ALGORITHM, run_discrimination
@@ -34,9 +44,13 @@ from .stopping_rule import (
     DEFAULT_EPSILON,
     GammaTooLarge,
     NotApplicable,
-    check_applicability,
+    applicability_of,
+    certificate_of,
     certify,
+    check_applicability,
     construct_rule,
+    require_applicable,
+    rule_of,
 )
 from .transforms import (
     PremiseViolated,
@@ -153,12 +167,14 @@ def cmd_rule(args: argparse.Namespace) -> int:
         return EXIT_OK
     report["path"] = "constructive"
     try:
-        rule = construct_rule(instance, best_effort=args.best_effort)
+        if not args.best_effort:
+            require_applicable(app)
     except (NotApplicable, GammaTooLarge) as exc:
         report["reason"] = exc.reason
         report["error"] = str(exc)
         _emit(_json_dump(report), args.out)
         return EXIT_NOT_APPLICABLE
+    rule = construct_rule(instance, best_effort=True)
     report["rule"] = asdict(rule)
     report["certificate"] = asdict(certify(rule, instance, args.epsilon))
     _emit(_json_dump(report), args.out)
@@ -193,31 +209,50 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def build_table_rows(
+    triples: Iterable[tuple[int, int, int]], epsilon: float, horizon: int | None = None
+) -> list[TableRow]:
+    """Table rows: each minimal l's failure pair, else the certified rule's.
+
+    The scalar work runs once per row; the scans of all rows run together.
+    """
+    rows, theta_K, theta_M, horizons = [], [], [], []
+    for N, M, K in triples:
+        instance = make_instance(N, M, K)
+        angles = angles_of(instance)
+        bounds = iteration_bound(instance)
+        row = TableRow(
+            N, M, K, angles.theta_M, angles.theta_K, angles.gamma,
+            applicability_of(instance, angles).all_ok,
+            None, None, None, None, bounds.l_bound, None, None,
+        )
+        scan_horizon = horizon if horizon is not None else horizon_for_bound(bounds.l_bound)
+        if M > 0:
+            rule = rule_of(angles, bounds)
+            certificate = certificate_of(rule, angles, epsilon)
+            if certificate.certified:
+                row.p, row.s, row.l_constructive = rule.p, rule.s, rule.l
+                row.fail_K, row.fail_M = certificate.fail_K, certificate.fail_M
+                scan_horizon = max(scan_horizon, rule.l)
+        rows.append(row)
+        theta_K.append(angles.theta_K)
+        theta_M.append(angles.theta_M)
+        horizons.append(scan_horizon)
+    found, _ = scan_rows(theta_K, theta_M, error_bound(epsilon), horizons)
+    for row, l in zip(rows, found.tolist()):
+        if l:
+            row.l_minimal = l
+            angles = GroverAngles(row.theta_M, row.theta_K, row.gamma)
+            row.fail_K, row.fail_M = failure_kernel(l, angles)
+    return rows
+
+
 def build_table_row(
     N: int, M: int, K: int, epsilon: float, horizon: int | None = None
 ) -> TableRow:
-    """One table row: the minimal l's failure pair, else the certified rule's."""
-    instance = make_instance(N, M, K)
-    angles = angles_of(instance)
-    applicable = check_applicability(instance).all_ok
-    l_bound = iteration_bound(instance).l_bound
-    p = s = l_constructive = l_minimal = fail_K = fail_M = None
-    if M > 0:
-        rule = construct_rule(instance, best_effort=True)
-        certificate = certify(rule, instance, epsilon)
-        if certificate.certified:
-            p, s, l_constructive = rule.p, rule.s, rule.l
-            fail_K, fail_M = certificate.fail_K, certificate.fail_M
-    scan_horizon = horizon if horizon is not None else default_horizon(instance)
-    if l_constructive is not None:
-        scan_horizon = max(scan_horizon, l_constructive)
-    search = minimal_odd_l(angles, error_bound(epsilon), scan_horizon)
-    if search.found:
-        l_minimal, fail_K, fail_M = search.l, search.fail_K, search.fail_M
-    return TableRow(
-        N, M, K, angles.theta_M, angles.theta_K, angles.gamma, applicable,
-        p, s, l_constructive, l_minimal, l_bound, fail_K, fail_M,
-    )
+    """One table row: ``build_table_rows`` of one triple."""
+    (row,) = build_table_rows([(N, M, K)], epsilon, horizon)
+    return row
 
 
 def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
@@ -243,11 +278,8 @@ def _check_horizon(horizon: int | None) -> None:
         raise ValueError(f"--horizon must be >= 1, got {horizon}")
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    # Bad flags fail even when every triple of the grid is skipped.
-    error_bound(args.epsilon)
-    _check_horizon(args.horizon)
-    rows = []
+def _table_triples(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
+    """The grid's valid triples, one per scaled family with --reduced."""
     seen_scaled: set[tuple[int, int, int]] = set()
     any_triple = False
     for n, m, k in _iter_grid(args):
@@ -259,9 +291,16 @@ def cmd_table(args: argparse.Namespace) -> int:
             if key in seen_scaled:
                 continue
             seen_scaled.add(key)
-        rows.append(build_table_row(n, m, k, args.epsilon, args.horizon))
+        yield n, m, k
     if not any_triple:
         raise ValueError("empty grid")
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    # Bad flags fail even when every triple of the grid is skipped.
+    error_bound(args.epsilon)
+    _check_horizon(args.horizon)
+    rows = build_table_rows(_table_triples(args), args.epsilon, args.horizon)
     if args.format == "json":
         _emit(_json_dump([asdict(row) for row in rows]), args.out)
     else:
@@ -309,30 +348,37 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")
-    entries = []
+    pairs, theta_K, theta_M, horizons, l_bounds = [], [], [], [], []
     for m in _parse_range(args.M_range):
         for k in _parse_range(args.K_range):
             if not (0 <= m < k <= args.N):
                 continue
             instance = make_instance(args.N, m, k)
-            horizon = args.horizon if args.horizon is not None else default_horizon(instance)
-            search = minimal_odd_l(angles_of(instance), bound, horizon)
+            angles = angles_of(instance)
             l_bound = iteration_bound(instance).l_bound
-            # Exhausted scans get their lower-bound ratio from the horizon itself.
-            ratio = (search.l if search.found else search.horizon) / l_bound
-            if not search.found or ratio > args.threshold:
-                entries.append(
-                    {
-                        "N": args.N,
-                        "M": m,
-                        "K": k,
-                        "l_minimal": search.l,
-                        "l_bound": l_bound,
-                        "ratio": ratio,
-                        "exhausted": not search.found,
-                        "horizon": search.horizon,
-                    }
-                )
+            pairs.append((m, k))
+            theta_K.append(angles.theta_K)
+            theta_M.append(angles.theta_M)
+            horizons.append(args.horizon if args.horizon is not None else horizon_for_bound(l_bound))
+            l_bounds.append(l_bound)
+    found, _ = scan_rows(theta_K, theta_M, bound, horizons)
+    entries = []
+    for (m, k), l, horizon, l_bound in zip(pairs, found.tolist(), horizons, l_bounds):
+        # Exhausted scans get their lower-bound ratio from the horizon itself.
+        ratio = (l or horizon) / l_bound
+        if not l or ratio > args.threshold:
+            entries.append(
+                {
+                    "N": args.N,
+                    "M": m,
+                    "K": k,
+                    "l_minimal": l or None,
+                    "l_bound": l_bound,
+                    "ratio": ratio,
+                    "exhausted": not l,
+                    "horizon": horizon,
+                }
+            )
     entries.sort(key=lambda e: (-e["ratio"], e["M"], e["K"]))
     _emit(_json_dump(entries), args.out)
     return EXIT_OK
@@ -412,9 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing does not change the parser, so one per process serves every call.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, PremiseViolated, OSError) as exc:

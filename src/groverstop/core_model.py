@@ -140,15 +140,15 @@ def failure_kernel(l, angles: GroverAngles):
     """(fail_K, fail_M) = (cos^2(l*theta_K/2), sin^2(l*theta_M/2)) at stopping time l.
 
     The one implementation of the failure pair.  A scalar l gives two Python
-    floats (numpy on a scalar agrees with libm bit for bit); an array of l
-    gives two arrays, whose vectorised trig may differ in the last ulp.  No
-    parity check: this sits on the scan's hot path.
+    floats from libm (``math``), equal to numpy's scalar path; an array of l
+    gives two arrays, elementwise, and the thetas may then be arrays too.  An
+    array squares by multiplication and a float by ``pow``, so the two paths
+    can differ in the last ulp even where their cosines agree.  No parity
+    check: this sits on the scan's hot path.
     """
-    fail_K = np.cos(0.5 * l * angles.theta_K) ** 2
-    fail_M = np.sin(0.5 * l * angles.theta_M) ** 2
-    if np.ndim(fail_K) == 0:
-        return float(fail_K), float(fail_M)
-    return fail_K, fail_M
+    if isinstance(l, np.ndarray):
+        return np.cos(0.5 * l * angles.theta_K) ** 2, np.sin(0.5 * l * angles.theta_M) ** 2
+    return math.cos(0.5 * l * angles.theta_K) ** 2, math.sin(0.5 * l * angles.theta_M) ** 2
 
 
 def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core_model import ProblemInstance, angles_of, error_bound, failure_kernel
-from .transforms import iteration_bound
+from .core_model import GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel
+from .transforms import IterationBounds, iteration_bound
 
 __all__ = [
     "Applicability",
@@ -120,7 +120,11 @@ class CertificateReport:
 
 def check_applicability(instance: ProblemInstance) -> Applicability:
     """Evaluate every precondition flag of the constructive rule; never raises."""
-    angles = angles_of(instance)
+    return applicability_of(instance, angles_of(instance))
+
+
+def applicability_of(instance: ProblemInstance, angles: GroverAngles) -> Applicability:
+    """``check_applicability`` with the instance's angles already computed."""
     ordering_ok = instance.strict_regime
     if angles.gamma is None:
         return Applicability(
@@ -137,6 +141,14 @@ def check_applicability(instance: ProblemInstance) -> Applicability:
         gamma_small_ok=excess <= 0.25,
         epsilon_bound=2.0 * gamma_upper_bound(instance),
     )
+
+
+def require_applicable(app: Applicability) -> None:
+    """Raise what a strict ``construct_rule`` raises for these flags, if anything."""
+    if not (app.ordering_ok and app.size_condition_ok):
+        raise NotApplicable("ordering" if not app.ordering_ok else "size_condition")
+    if not app.gamma_small_ok:
+        raise GammaTooLarge("gamma - 1 > 1/4; retry with best_effort or search")
 
 
 def gamma_upper_bound(instance: ProblemInstance) -> float:
@@ -167,21 +179,20 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
         raise DegenerateM(
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
-    if not best_effort:
-        app = check_applicability(instance)
-        if not (app.ordering_ok and app.size_condition_ok):
-            raise NotApplicable("ordering" if not app.ordering_ok else "size_condition")
-        if not app.gamma_small_ok:
-            raise GammaTooLarge("gamma - 1 > 1/4; retry with best_effort or search")
-
     angles = angles_of(instance)
+    if not best_effort:
+        require_applicable(applicability_of(instance, angles))
+    return rule_of(angles, iteration_bound(instance))
+
+
+def rule_of(angles: GroverAngles, bounds: IterationBounds) -> StoppingRule:
+    """The best-effort rule from an instance's angles and bounds (M > 0)."""
     assert angles.gamma is not None
     excess = angles.gamma - 1.0
     p = nearest_odd(1.0 / (4.0 * excess))
     s = nearest_odd(4.0 * math.pi / angles.theta_M)
     l = p * s
     four_pi = 4.0 * math.pi
-    bounds = iteration_bound(instance)
     return StoppingRule(
         p=p,
         s=s,
@@ -204,7 +215,13 @@ def certify(
     Purely a reporting operation; a rule that fails some check still yields a
     report with the corresponding flags false.
     """
-    angles = angles_of(instance)
+    return certificate_of(rule, angles_of(instance), epsilon)
+
+
+def certificate_of(
+    rule: StoppingRule, angles: GroverAngles, epsilon: float = DEFAULT_EPSILON
+) -> CertificateReport:
+    """``certify`` with the instance's angles already computed."""
     if angles.gamma is None:
         raise DegenerateM("cannot certify against an instance with M = 0")
     excess = angles.gamma - 1.0

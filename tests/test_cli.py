@@ -1,19 +1,23 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from groverstop import (
-    SearchReport,
     angles_of,
     certify,
     cli,
     construct_rule,
     failure_probabilities,
+    iteration_bound,
     make_instance,
+    stopping_rule,
 )
 from groverstop.cli import TABLE_FIELDS, _csv_cell, _csv_text, build_table_row, main
 
@@ -191,10 +195,10 @@ class TestTableCommand:
 
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
-        def missed(angles, threshold, horizon, mode="relaxed"):
-            return SearchReport(False, None, None, None, None, horizon, mode, threshold)
+        def missed(theta_K, theta_M, threshold, horizons, mode="relaxed"):
+            return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
 
-        monkeypatch.setattr(cli, "minimal_odd_l", missed)
+        monkeypatch.setattr(cli, "scan_rows", missed)
         row = build_table_row(65536, 12, 13, 1.0 / 12.0)
         instance = make_instance(65536, 12, 13)
         rule = construct_rule(instance)
@@ -454,3 +458,86 @@ class TestBadInputIsExitOne:
     def test_pad_non_finite_ratio(self, capsys, a):
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)
         assert (code, out) == (1, "")
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    COMMANDS = [
+        "rule --N 65536 --M 12 --K 13",
+        "table --N-range 1024:2048:1024 --M-range 4:12:4 --K-range 6:18:6",
+        "table --N-range 1024 --M-range 4 --K-range 6 --format xml",  # usage error
+        "search --N 4096 --M 8 --K 12 --tol 0.25 --mode strict",
+        "rule --N 4 --M 0",  # usage error: --K missing
+        "experiment --N 64 --M 2 --K 4 --l 7 --trials 50 --seed 3",
+        "diagnose --N 256 --M-range 1:8 --K-range 2:16 --threshold 2.0",
+        "search --N 4096 --M 8 --K 12 --tol 0.25",
+        "pad --M 1 --N 1048576",
+        "table --N-range 1024 --M-range 4 --K-range 6 --epsilon 2",  # input error
+        "orbit --N 4096 --M 8 --K 12 --l-max 9",
+    ]
+
+    def test_back_to_back_commands_match_fresh_runs(self, monkeypatch):
+        fresh = []
+        for command in self.COMMANDS:
+            cli._parser.cache_clear()
+            fresh.append(_run_captured(command.split()))
+        cli._parser.cache_clear()
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        back_to_back = [_run_captured(command.split()) for command in self.COMMANDS]
+        assert back_to_back == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 64, 0, 64, 0, 0, 0, 0, 1, 0]
+        assert len(built) == 1
+
+
+def _count_calls(monkeypatch, original):
+    """Count calls of a package function, through every module's reference to it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("groverstop") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestScalarWorkOncePerRow:
+    GRID = ["--N-range", "1024:4096:1024", "--M-range", "0:64:8", "--K-range", "6:96:6"]
+
+    @pytest.mark.parametrize("function", [angles_of, iteration_bound], ids=lambda f: f.__name__)
+    def test_table_row_computes_it_once(self, monkeypatch, capsys, function):
+        calls = _count_calls(monkeypatch, function)
+        code, out = run_cli(capsys, "table", *self.GRID)
+        rows = len(out.splitlines()) - 1
+        assert code == 0 and rows > 100
+        assert len(calls) == rows
+
+    def test_diagnose_computes_angles_once_per_pair(self, monkeypatch, capsys):
+        calls = _count_calls(monkeypatch, angles_of)
+        code, out = run_cli(
+            capsys, "diagnose", "--N", "256", "--M-range", "0:8", "--K-range", "1:16",
+            "--threshold", "0.0",  # lists every pair
+        )
+        assert code == 0 and len(calls) == len(json.loads(out)) > 50
+
+    @pytest.mark.parametrize("flag", [[], ["--best-effort"]])
+    def test_rule_checks_applicability_once(self, monkeypatch, capsys, flag):
+        angle_calls = _count_calls(monkeypatch, angles_of)
+        checks = _count_calls(monkeypatch, stopping_rule.applicability_of)
+        code, _ = run_cli(capsys, "rule", "--N", "65536", "--M", "12", "--K", "13", *flag)
+        assert code == 0 and len(checks) == 1
+        assert len(angle_calls) == 3  # applicability, construction, certificate

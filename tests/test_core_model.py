@@ -245,6 +245,21 @@ class TestFailureKernel:
             assert fail_K[i] == pytest.approx(pair.fail_K, abs=1e-15)
             assert fail_M[i] == pytest.approx(pair.fail_M, abs=1e-15)
 
+    def test_scalar_path_equals_numpy_scalar_path(self):
+        # The scalar path used numpy scalars before it used math; reports
+        # recorded then must not move by an ulp.
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            N = int(rng.integers(4, 1 << 48))
+            K = int(rng.integers(1, N + 1))
+            ang = angles_of(make_instance(N, int(rng.integers(0, K)), K))
+            for l in (2 * rng.integers(0, 5 * 10**7, size=100) + 1).tolist():
+                expected = (
+                    float(np.cos(0.5 * l * ang.theta_K) ** 2),
+                    float(np.sin(0.5 * l * ang.theta_M) ** 2),
+                )
+                assert failure_kernel(l, ang) == expected
+
     def test_even_l_does_not_warn(self, recwarn):
         failure_kernel(2, angles_of(make_instance(4, 1, 2)))
         assert not recwarn.list

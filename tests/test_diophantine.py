@@ -10,6 +10,7 @@ from groverstop import (
     check_applicability,
     construct_rule,
     default_horizon,
+    failure_kernel,
     make_instance,
     minimal_odd_l,
     relaxed_score,
@@ -17,14 +18,18 @@ from groverstop import (
     torus_point,
 )
 from groverstop.core_model import GroverAngles
+from groverstop import diophantine
 from groverstop.diophantine import (
     _FIRST_CHUNK,
     HORIZON_CAP,
     SCAN_CHUNK,
     TorusPoint,
+    _block_hits,
     _chunk_scores,
+    _work_arrays,
     circle_distance,
     orbit_coords,
+    scan_rows,
     target_distance,
 )
 
@@ -297,3 +302,136 @@ def test_chunk_scores_independent_of_slicing(instance, mode, first, cuts):
         for a, b in zip(bounds, bounds[1:])
     ]
     assert whole.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_rows_match_reference(angles_list, threshold, horizons, mode):
+    found_l, found_score = scan_rows(
+        [a.theta_K for a in angles_list], [a.theta_M for a in angles_list],
+        threshold, horizons, mode,
+    )
+    for i, (angles, horizon) in enumerate(zip(angles_list, horizons)):
+        ref = _reference_scan(angles, threshold, horizon, mode)
+        if ref is None:
+            assert found_l[i] == 0 and np.isnan(found_score[i])
+        else:
+            assert found_l[i] == ref[0]
+            assert _bits(found_score[i]) == _bits(ref[1])
+
+
+@st.composite
+def _scan_rows_cases(draw):
+    """A batch of rows: random triples or planted hits, each with its own horizon."""
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            angles = angles_of(draw(_triples()))
+        else:
+            angles = _hit_at(1 + 2 * draw(st.integers(0, 20000)))
+        rows.append((angles, 1 + 2 * draw(st.integers(0, 40000))))
+    return rows
+
+
+class TestScanRows:
+    """Batched scans, filter included, find what one whole-range array finds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=_scan_rows_cases(),
+        mode=st.sampled_from(["relaxed", "strict"]),
+        exponent=st.floats(-12.0, -0.05),
+    )
+    def test_rows_match_whole_range_scan(self, rows, mode, exponent):
+        angles_list, horizons = zip(*rows)
+        _assert_rows_match_reference(angles_list, 10.0**exponent, horizons, mode)
+
+    @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED + (("relaxed", 0.25),))
+    def test_many_rows_split_into_blocks(self, mode, threshold, monkeypatch):
+        # More rows than a first-chunk block holds, with horizons on both sides
+        # of chunk edges and planted hits in several chunks.
+        rng = np.random.default_rng(43)
+        angles_list, horizons = [], []
+        for i in range(3 * SCAN_CHUNK // _FIRST_CHUNK + 5):
+            if i % 3:
+                N = int(rng.integers(1 << 10, 1 << 30))
+                K = int(rng.integers(2, N // 2))
+                angles_list.append(angles_of(make_instance(N, int(rng.integers(0, K)), K)))
+            else:
+                angles_list.append(_hit_at(1 + 2 * int(rng.integers(0, 4000))))
+            horizons.append(1 + 2 * int(rng.integers(0, 4000)))
+        shapes = []
+        block_hits = diophantine._block_hits
+
+        def recording(ls, theta_K, *args):
+            shapes.append((theta_K.size, ls.size))
+            return block_hits(ls, theta_K, *args)
+
+        monkeypatch.setattr(diophantine, "_block_hits", recording)
+        _assert_rows_match_reference(angles_list, threshold, horizons, mode)
+        assert max(rows * width for rows, width in shapes) == SCAN_CHUNK
+        assert len({rows for rows, _ in shapes}) > 2
+
+    def test_minimal_odd_l_is_the_one_row_scan(self):
+        inst = make_instance(1048576, 37, 41)
+        angles = angles_of(inst)
+        report = minimal_odd_l(angles, 1e-3, 999999)
+        (l,), (score,) = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
+        assert report.found and (report.l, report.score) == (l, score)
+        assert (report.fail_K, report.fail_M) == failure_kernel(report.l, angles)
+
+    def test_empty_batch_and_bad_input(self):
+        found_l, found_score = scan_rows([], [], 0.25, [])
+        assert found_l.size == found_score.size == 0
+        with pytest.raises(ValueError):
+            scan_rows([0.1, 0.2], [0.05, 0.1], 0.25, [5, 0])
+        for threshold in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                scan_rows([0.1], [0.05], threshold, [5])
+
+    def test_horizon_beyond_exact_doubles_is_accepted(self):
+        (l,), _ = scan_rows([math.pi / 51], [0.0], 1e-12, [10**30])
+        assert l == 51
+
+
+# theta_M and theta_K near 0; theta_K = pi; both within 2^-22 of pi; mid-range.
+ADVERSARIAL_TRIPLES = (
+    (1 << 48, 1, 2),
+    (1 << 48, 3, 1 << 48),
+    (1 << 48, (1 << 48) - 2, (1 << 48) - 1),
+    (1048576, 37, 41),
+)
+
+
+@pytest.mark.parametrize("mode", ("relaxed", "strict"))
+@pytest.mark.parametrize("triple", ADVERSARIAL_TRIPLES)
+def test_filter_keeps_hits_at_the_threshold(mode, triple):
+    """A threshold equal to an l's exact score keeps that l, one float below drops it.
+
+    l lies just below 10^8, where a turn count carries its largest error;
+    the filtered block must find exactly the l whose unfiltered score is
+    within the threshold.
+    """
+    angles = angles_of(make_instance(*triple))
+    start = HORIZON_CAP - 2 * 8192 + 2
+    ls = np.arange(start, start + 2 * 8192, 2, dtype=np.float64)
+    scores = _chunk_scores(ls, angles, mode)
+    rng = np.random.default_rng(47)
+    picks = np.concatenate([np.argsort(scores)[:24], rng.integers(0, ls.size, size=24)])
+    theta_K, theta_M = np.array([angles.theta_K]), np.array([angles.theta_M])
+    work = _work_arrays()
+    checked = 0
+    for score in scores[picks]:
+        for threshold in (np.nextafter(score, 0.0), score, np.nextafter(score, 1.0)):
+            if not 0.0 < threshold < 1.0:
+                continue
+            rows, hit_l, hit_scores = _block_hits(
+                ls, theta_K, theta_M, np.array([ls[-1]]), float(threshold), mode, work
+            )
+            expected = np.flatnonzero(scores <= threshold)
+            assert hit_l.tolist() == ls[expected].tolist()
+            assert hit_scores.tobytes() == scores[expected].tobytes()
+            checked += 1
+    assert checked >= 100

@@ -146,6 +146,34 @@ GOLDEN = [
         0,
         "2f1a759a821d6a49443525c499380a9840c4a97d0c5fcbc5bbb1a7fdf04e1577",
     ),
+    # Recorded before the rows of a table or diagnose were scanned together.
+    # Horizon 3001 ends inside the third chunk; certified rows raise it to
+    # their l_constructive, so the rows' horizons differ; some rows hit at
+    # l = 3001 and others exhaust it.  The strict search exhausts a horizon
+    # that ends inside a 65536-wide chunk.
+    (
+        "table --N-range 65536:1048576:131072 --M-range 1:40:3 --K-range 2:60:5"
+        " --horizon 3001 --epsilon 0.02 --format json",
+        0,
+        "06e7802c793a1ae389d29caebaebbd69aef4d82f5873627e155b27ffcc270193",
+    ),
+    (
+        "table --N-range 65536:1048576:131072 --M-range 1:40:3 --K-range 2:60:5"
+        " --epsilon 0.02 --format json",
+        0,
+        "0cd51ff547872637fdd4adf46fa8683f79998ce54931f86ff7a1f63d97a9eec7",
+    ),
+    (
+        "search --N 1048576 --M 37 --K 41 --tol 1e-6 --mode strict --horizon 700001",
+        0,
+        "aaee826a0d5c6de8da8f698128e20b77cdb3a9267d0d5913d5250db9a0fb68a1",
+    ),
+    (
+        "diagnose --N 1048576 --M-range 1:40 --K-range 2:60 --threshold 1.5"
+        " --horizon 3001 --epsilon 0.02",
+        0,
+        "69baae5ad8b56c84d5f0af90316d937a1147dc9a2b0ea3855de00f5850c81486",
+    ),
 ]
 
 
