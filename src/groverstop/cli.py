@@ -247,14 +247,6 @@ def build_table_rows(
     return rows
 
 
-def build_table_row(
-    N: int, M: int, K: int, epsilon: float, horizon: int | None = None
-) -> TableRow:
-    """One table row: ``build_table_rows`` of one triple."""
-    (row,) = build_table_rows([(N, M, K)], epsilon, horizon)
-    return row
-
-
 def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
     if args.triples:
         with open(args.triples, encoding="utf-8") as fh:

@@ -183,7 +183,13 @@ def _near_integer(ls, w, shift, bound, y, t, out):
 
 
 def _work_arrays() -> list[np.ndarray]:
-    """The scratch arrays of ``_block_hits``: two float and two bool, SCAN_CHUNK each."""
+    """The scratch arrays of ``_block_hits``: two float and two bool, SCAN_CHUNK each.
+
+    They are allocated once per ``scan_rows`` call and reused by every block
+    through ``out=``.  Keep it so: a variant that allocated its temporaries per
+    block slowed an in-process 4000-row ``table`` pass from 225-267 ms to
+    314-332 ms (four alternating runs on 2 vCPUs).
+    """
     return [np.empty(SCAN_CHUNK, dtype) for dtype in (np.float64, np.float64, bool, bool)]
 
 

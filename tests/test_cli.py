@@ -19,7 +19,7 @@ from groverstop import (
     make_instance,
     stopping_rule,
 )
-from groverstop.cli import TABLE_FIELDS, _csv_cell, _csv_text, build_table_row, main
+from groverstop.cli import TABLE_FIELDS, _csv_cell, _csv_text, build_table_rows, main
 
 
 def run_cli(capsys, *argv):
@@ -137,7 +137,7 @@ class TestTableCommand:
         lines = out.splitlines()
         for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 32, 48)]):
             parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-            row = build_table_row(n, m, k, 1.0 / 12.0)
+            row = build_table_rows([(n, m, k)], 1.0 / 12.0)[0]
             for field, value in asdict(row).items():
                 cell = parsed[field]
                 if value is None:
@@ -199,7 +199,7 @@ class TestTableCommand:
             return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
 
         monkeypatch.setattr(cli, "scan_rows", missed)
-        row = build_table_row(65536, 12, 13, 1.0 / 12.0)
+        row = build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0]
         instance = make_instance(65536, 12, 13)
         rule = construct_rule(instance)
         cert = certify(rule, instance, 1.0 / 12.0)

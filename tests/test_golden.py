@@ -2,10 +2,12 @@
 
 A speedup or refactor must leave these bytes alone; a hash that changes is a
 contract change and has to be declared as one.  `table` runs without --out so
-its CSV is hashed from stdout.
+its CSV is hashed from stdout; a test checks that every README command is
+pinned here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,29 @@ GOLDEN = [
         0,
         "87f0b703b41bc43b0dd5888fb2528c4b01782c2efe61318ce2fa84f573143f99",
     ),
+    # Recorded while the mean was numpy's pairwise sum, before it became the
+    # exactly rounded sum: long runs of m steps, where the two means drift
+    # apart the most, at the cap, at one marked element and at a prime N.
+    (
+        "experiment --N 1048576 --M 37 --K 41 --l 5285 --trials 1000 --seed 1001",
+        0,
+        "570bf5808d8a9642265379bce641c9d90dff8d03beb99fe77e958f065e39f666",
+    ),
+    (
+        "experiment --N 4194304 --M 37 --K 41 --l 10571 --trials 2000 --seed 1001",
+        0,
+        "551c84463929de720ebff94d6c08a747d73acf37beaf2a0cc01a1f403e1e8975",
+    ),
+    (
+        "experiment --N 4194304 --M 1 --K 2 --l 5001 --trials 3000 --seed 7",
+        0,
+        "b8d0d7d116286900e533738d0d80a96325ab76a04bf40a264d4f5575399fe532",
+    ),
+    (
+        "experiment --N 999983 --M 5 --K 9 --l 1999 --trials 20000 --seed 42",
+        0,
+        "cf0703a081a5dc555755c37a238de5dc6bd99c2a93f55c06236daa0a4e5eae52",
+    ),
     # Strict rule refused for gamma - 1 > 1/4 alone: ordering and the size
     # condition hold, so the reason is gamma_too_large.
     (
@@ -184,3 +209,29 @@ def test_golden_stdout(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """The ``groverstop`` lines of the README's CLI block, without comments or ``--out FILE``."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["groverstop"]:
+            if "--out" in words:
+                at = words.index("--out")
+                del words[at : at + 2]
+            commands.append(" ".join(words[1:]))
+    return commands
+
+
+def test_readme_commands_are_pinned():
+    commands = _readme_commands()
+    subcommands = {command.split()[0] for command in commands}
+    assert {"rule", "search", "orbit", "table", "experiment", "pad", "diagnose"} <= subcommands
+    pinned = {command for command, _, _ in GOLDEN}
+    assert [command for command in commands if command not in pinned] == []

@@ -1,8 +1,5 @@
 import math
-import operator
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +24,6 @@ from groverstop.statevector import (
     _canonical_state,
     _cumulative,
     _decides_k,
-    _evolver,
-    _pairwise_sum,
     _sample,
     _trial_uniforms,
     trial_rng,
@@ -164,22 +159,28 @@ class TestSimulate:
             np.testing.assert_allclose(direct, relabeled, atol=1e-12)
 
 
-def _replayed_sum(x: np.ndarray) -> float:
-    """np.add.reduce(x) as the replica computes it: identity 0.0 plus the pairwise sum."""
-    terms = x.tolist()
-
-    def part(lo, n):
-        return _pairwise_sum(lo, n, terms.__getitem__, operator.add, part)
-
-    return 0.0 + part(0, len(terms))
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
 
 
-def _bits(*values) -> list[int]:
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+def _exact_mean(x: np.ndarray) -> float:
+    """The exact sum of x, rounded once to float64, over len(x).
+
+    Each float is p / q with q a power of two, so over the largest q the sum
+    is one exact Fraction of integers (summing Fractions one by one is slower).
+    """
+    ratios = [v.as_integer_ratio() for v in x.tolist()]
+    den = max(q for _, q in ratios)
+    return float(Fraction(sum(p * (den // q) for p, q in ratios), den)) / len(x)
 
 
-class TestPairwiseSumReplica:
-    """The replica adds in numpy's order; a numpy that sums differently fails here."""
+def _assert_step_mean(x: np.ndarray, mean: float) -> None:
+    """grover_step with nothing marked maps x to 2 * mean - x, bit for bit."""
+    assert _bits(grover_step(x, set())) == _bits(2.0 * mean - x)
+
+
+class TestExactMean:
+    """The mean a step takes is the exact sum, rounded once, over N, in any summation order."""
 
     LENGTHS = [
         *range(1, 10),
@@ -189,16 +190,36 @@ class TestPairwiseSumReplica:
     ]
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_matches_add_reduce(self, n):
+    def test_matches_fraction(self, n):
         rng = np.random.default_rng(n)
-        # Mixed signs over 16 decades: a different order rounds differently.
+        # Mixed signs over 16 decades: a rounded running or pairwise sum drifts.
         x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
-        assert _bits(_replayed_sum(x)) == _bits(np.add.reduce(x))
+        _assert_step_mean(x, _exact_mean(x))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 129])
     def test_signed_zeros(self, n):
+        # A mean of zeros is a zero, so a step leaves +0.0 everywhere.
         x = np.full(n, -0.0)
-        assert _bits(_replayed_sum(x)) == _bits(np.add.reduce(x)) == _bits(0.0)
+        x[1::3] = 0.0
+        for marked in (set(), range(n), range(0, n, 2)):
+            assert _bits(grover_step(x, marked)) == _bits(np.zeros(n))
+
+    def test_cancellation(self):
+        # Added in order, 1e16 + 1.0 rounds to 1e16 and the 1.0 is lost.
+        x = np.array([1e16, 1.0, -1e16])
+        assert _bits(grover_step(x, set())) == _bits(2.0 * (1.0 / 3) - x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000), pairs=st.integers(0, 1500))
+    def test_random_arrays(self, seed, n, pairs):
+        rng = np.random.default_rng(seed)
+        # Mixed signs over 30 decades; the last ``pairs`` terms cancel earlier
+        # ones exactly, so the small terms decide the sum.
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-15, 15, size=n)
+        pairs = min(pairs, n // 2)
+        x[n - pairs :] = -x[:pairs]
+        x = rng.permutation(x)
+        _assert_step_mean(x, _exact_mean(x))
 
 
 def _assert_canonical(N, size, m):
@@ -237,34 +258,6 @@ class TestCanonicalState:
     @given(data=st.data(), N=st.integers(1, 3000), m=st.integers(0, 60))
     def test_random_instances(self, data, N, m):
         _assert_canonical(N, data.draw(st.integers(0, N)), m)
-
-
-class TestEvolver:
-    """The compiled sum program: built lazily, memoized in a bounded cache."""
-
-    def test_import_compiles_nothing(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        code = (
-            "import groverstop.cli, groverstop.statevector as sv; "
-            "print(sv._evolver.cache_info().currsize)"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-            timeout=60,
-        ).stdout
-        assert out == "0\n"
-
-    def test_cache_is_bounded(self):
-        bound = _evolver.cache_info().maxsize
-        assert bound is not None and 2 <= bound <= 64  # one experiment needs two
-        for size in range(bound + 3):
-            _evolver(1031, size)
-        assert _evolver.cache_info().currsize == bound
-
-    def test_one_function_per_instance(self):
-        assert _evolver(1031, 5) is _evolver(1031, 5)
-        assert _evolver(1031, 5) is not _evolver(1031, 6)
 
 
 def _two_valued_cum(N, size, a, b):
