@@ -196,14 +196,6 @@ class TestExactMean:
         x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
         _assert_step_mean(x, _exact_mean(x))
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 129])
-    def test_signed_zeros(self, n):
-        # A mean of zeros is a zero, so a step leaves +0.0 everywhere.
-        x = np.full(n, -0.0)
-        x[1::3] = 0.0
-        for marked in (set(), range(n), range(0, n, 2)):
-            assert _bits(grover_step(x, marked)) == _bits(np.zeros(n))
-
     def test_cancellation(self):
         # Added in order, 1e16 + 1.0 rounds to 1e16 and the 1.0 is lost.
         x = np.array([1e16, 1.0, -1e16])
@@ -220,6 +212,34 @@ class TestExactMean:
         x[n - pairs :] = -x[:pairs]
         x = rng.permutation(x)
         _assert_step_mean(x, _exact_mean(x))
+
+
+class TestPairwiseSumReplica:
+    """Earlier versions replicated numpy's pairwise sum for the mean; the exact
+    mean stays within that sum's error bound of it, so states differ from
+    theirs only in the last bits."""
+
+    @pytest.mark.parametrize("n", TestExactMean.LENGTHS)
+    def test_matches_add_reduce(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        mean = _exact_mean(x)
+        _assert_step_mean(x, mean)
+        # numpy adds up to 16 terms per accumulator, folds 8 accumulators and
+        # up to 7 leftover terms, and halves blocks above 128 terms: each term
+        # passes through at most 26 + log2(n) roundings.
+        depth = 26 + math.ceil(math.log2(n))
+        bound = depth * 2.0**-53 * math.fsum(np.abs(x))
+        assert abs(mean * n - np.add.reduce(x)) <= bound + abs(mean * n) * 2.0**-52
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 129])
+    def test_signed_zeros(self, n):
+        # A mean of zeros is +0.0, as numpy's sum is, so a step leaves +0.0 everywhere.
+        x = np.full(n, -0.0)
+        x[1::3] = 0.0
+        assert _bits(np.add.reduce(x)) == _bits(0.0)
+        for marked in (set(), range(n), range(0, n, 2)):
+            assert _bits(grover_step(x, marked)) == _bits(np.zeros(n))
 
 
 def _assert_canonical(N, size, m):
