@@ -4,20 +4,21 @@ The oracle and the diffusion operator are real matrices and the initial state
 is real, so amplitudes are plain float64 arrays; any imaginary component that
 showed up would be a bug, and this representation makes it unrepresentable.
 
-Full simulation is capped at N = 2**22 (one float64 array); larger databases
-are served only by the 2D subspace model in ``core_model``.
+``simulate`` and ``run_discrimination`` refuse N above ``FULL_SIM_CAP`` = 2**22
+(one 32 MiB float64 array); larger databases are served only by the 2D
+subspace model in ``core_model``.
 
 Each step takes the mean as the exactly rounded sum (``math.fsum``) over N,
 so the state does not depend on the order in which numpy would add the
-amplitudes.  ``run_discrimination`` does not step N amplitudes: the
-canonical marked set range(size) keeps the state two-valued (a on the marked
+amplitudes.  ``run_discrimination`` builds no N-long array: the canonical
+marked set range(size) keeps the state two-valued (a on the marked
 amplitudes, b on the rest), and ``_canonical_state`` evolves just (a, b),
 taking that same rounded sum exactly as size*a + (N - size)*b in integers, so
 the result equals ``simulate(N, range(size), m)`` bit for bit (tests pin
 this).  ``simulate`` stays the brute-force lab over any marked set and the
 oracle the two-amplitude evolution is checked against.  Each trial is then
-decided by one comparison of its scaled uniform against ``cum[size - 1]``,
-the cumulative probability of the marked set.
+decided by one comparison of its uniform, scaled by the total probability,
+against the marked probability; both are exactly rounded sums of a*a and b*b.
 
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
@@ -93,6 +94,19 @@ def _oracle(state: np.ndarray, idx: np.ndarray) -> None:
     state[idx] = -state[idx]
 
 
+def _check_cap(N: int) -> None:
+    if N > FULL_SIM_CAP:
+        raise ValueError(
+            f"N={N} exceeds the full-simulation cap {FULL_SIM_CAP}; use the subspace model instead"
+        )
+
+
+def _exact_sum(n: int, x: float, k: int, y: float) -> float:
+    """n*x + k*y for counts n, k >= 0, computed exactly in integers and rounded once."""
+    (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
+    return (n * px * qy + k * py * qx) / (qx * qy)
+
+
 def _step(state: np.ndarray, idx: np.ndarray) -> None:
     """One Grover iteration applied to ``state`` in place.
 
@@ -120,10 +134,12 @@ def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     """State after m Grover iterations from the uniform start.
 
     The marked set is validated once; every iteration is the step
-    ``grover_step`` takes, applied in place to the one state array.
+    ``grover_step`` takes, applied in place to the one state array.  N above
+    ``FULL_SIM_CAP`` is refused before anything is allocated.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
+    _check_cap(N)
     idx = _marked_array(N, marked)
     state = init_uniform(N)
     for _ in range(m):
@@ -131,56 +147,36 @@ def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     return state
 
 
-def _canonical_state(N: int, size: int, m: int) -> np.ndarray:
-    """``simulate(N, range(size), m)``, bit for bit, in O(m) scalar work.
+def _canonical_state(N: int, size: int, m: int) -> tuple[float, float]:
+    """The amplitudes (a, b) of ``simulate(N, range(size), m)``, bit for bit, in O(m).
 
     Every operation of a step but the mean is elementwise, so the state stays
     a on range(size) and b on the rest.  A step negates a (the oracle), takes
-    the exact sum size*a + (N - size)*b as a ratio of Python integers, and
-    rounds it once by integer true division, as ``math.fsum`` rounds the N
-    amplitudes.  Then t = 2 * (sum / N), and a, b map to t - a, t - b with the
-    same float64 operations ``simulate`` applies to each amplitude.
+    the sum size*a + (N - size)*b by ``_exact_sum``, rounded once as
+    ``math.fsum`` rounds the N amplitudes.  Then t = 2 * (sum / N), and a, b
+    map to t - a, t - b with the float64 operations ``simulate`` applies.
     """
     rest = N - size
     a = b = 1.0 / math.sqrt(N)
     for _ in range(m):
         a = -a
-        (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
-        t = 2.0 * ((size * pa * qb + rest * pb * qa) / (qa * qb) / N)
+        t = 2.0 * (_exact_sum(size, a, rest, b) / N)
         a, b = t - a, t - b
-    state = np.full(N, b)
-    state[:size] = a
-    return state
+    return a, b
 
 
-def _cumulative(state: np.ndarray) -> np.ndarray:
+def measure(state: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample a basis index with probability amplitude squared.
+
+    The index is where the scaled uniform falls in numpy's running sum of the
+    squared amplitudes (``searchsorted``, side="right"), clamped to N - 1.
+    """
     probs = state * state
     norm = float(probs.sum())
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm!r}")
-    return np.cumsum(probs)
-
-
-def _sample(cum: np.ndarray, u: float | np.ndarray):
-    """Basis index (or indices) that the uniform(s) ``u`` in [0, 1) select."""
-    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
-
-
-def _decides_k(cum: np.ndarray, size: int, u: np.ndarray) -> np.ndarray:
-    """``_sample(cum, u) < size``, by one comparison per uniform.
-
-    ``cum`` is a running sum of squares, so nondecreasing: the sampled index
-    is below ``size`` exactly when u * cum[-1] falls below cum[size - 1].  No
-    index is below 0, and ``_sample`` clamps every index to N - 1 < N, so the
-    edge is -inf for size 0 and inf for size N (u * cum[-1] is finite).
-    """
-    edge = -math.inf if size == 0 else math.inf if size == len(cum) else cum[size - 1]
-    return u * cum[-1] < edge
-
-
-def measure(state: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample a basis index with probability amplitude squared."""
-    return int(_sample(_cumulative(state), rng.random()))
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, rng.random() * cum[-1], side="right"), len(cum) - 1))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -319,11 +315,14 @@ def run_discrimination(
     m = (l-1)/2 iterations, one measurement, and the decision K iff the
     measured element is marked.  The dynamics are permutation-equivariant, so
     the decision has the same law as for the canonical set range(size): its
-    state is evolved once by ``_canonical_state`` as two amplitudes with an
-    exact integer sum (equal to ``simulate`` bit for bit), and each trial samples one index from it with a single uniform
-    from ``trial_rng(seed, trial)``, computed for a block of trials at a time.
-    Whether that index is marked is one comparison against ``cum[size - 1]``;
-    no index is looked up.
+    amplitudes (a, b) are evolved once by ``_canonical_state`` (equal to
+    ``simulate`` bit for bit).  Trial t draws one uniform u from
+    ``trial_rng(seed, t)``, computed for a block of trials at a time, and
+    decides K iff u * total < marked.  Here marked = size * a*a and total =
+    size * a*a + (N - size) * b*b, each the exact sum rounded once: this is
+    ``measure``'s searchsorted over the running sum of the squared state, with
+    every partial sum rounded once instead of step by step.  Size 0 never
+    decides K, and size N always does, since u < 1.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
@@ -334,17 +333,16 @@ def run_discrimination(
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
-    if instance.N > FULL_SIM_CAP:
-        raise ValueError(
-            f"N={instance.N} exceeds the full-simulation cap {FULL_SIM_CAP}; "
-            "use the subspace model instead"
-        )
+    _check_cap(instance.N)
     bound = error_bound(epsilon)
     size = instance.M if truth == "M" else instance.K
-    m = (l - 1) // 2
-    cum = _cumulative(_canonical_state(instance.N, size, m))
+    a, b = _canonical_state(instance.N, size, (l - 1) // 2)
+    pa, pb = a * a, b * b
+    marked, total = size * pa, _exact_sum(size, pa, instance.N - size, pb)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {total!r}")
     decided_k = sum(
-        int(np.count_nonzero(_decides_k(cum, size, u))) for u in _trial_uniforms(seed, 0, trials)
+        int(np.count_nonzero(u * total < marked)) for u in _trial_uniforms(seed, 0, trials)
     )
     errors = decided_k if truth == "M" else trials - decided_k
     return DiscriminationOutcome(

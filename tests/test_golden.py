@@ -135,6 +135,20 @@ GOLDEN = [
         0,
         "cf0703a081a5dc555755c37a238de5dc6bd99c2a93f55c06236daa0a4e5eae52",
     ),
+    # Recorded while each trial was decided against numpy's cumsum of the
+    # N-long squared state, before both edges became exactly rounded sums:
+    # nothing marked or everything marked at the cap, and all but one of an
+    # odd N marked.
+    (
+        "experiment --N 4194304 --M 0 --K 4194304 --l 2049 --trials 3000 --seed 5",
+        0,
+        "ff9e4c3e9efdcdc1a26a711876d5212b4eb00da031cdfb323c5ace25449978f3",
+    ),
+    (
+        "experiment --N 4194303 --M 1 --K 4194303 --l 3 --trials 3000 --seed 9",
+        0,
+        "4686668a8785b3063117b83f234090a61864eb31b693d8b51b0104037baf375e",
+    ),
     # Strict rule refused for gamma - 1 > 1/4 alone: ordering and the size
     # condition hold, so the reason is gamma_too_large.
     (

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,13 +20,11 @@ from groverstop import (
     simulate,
     state_after,
 )
+import groverstop.statevector as sv
 from groverstop.statevector import (
     _TRIAL_BLOCK,
     FULL_SIM_CAP,
     _canonical_state,
-    _cumulative,
-    _decides_k,
-    _sample,
     _trial_uniforms,
     trial_rng,
 )
@@ -128,6 +128,11 @@ class TestSimulate:
 
     def test_zero_steps(self):
         np.testing.assert_array_equal(simulate(4, {1}, 0), init_uniform(4))
+
+    def test_above_full_sim_cap_rejected(self):
+        # Unchecked, this would allocate one 32 MiB array and return it.
+        with pytest.raises(ValueError, match="full-simulation cap"):
+            simulate(FULL_SIM_CAP + 1, [], 0)
 
     def test_n4_basis_state(self):
         np.testing.assert_allclose(simulate(4, {2}, 1), [0, 0, 1, 0], atol=1e-12)
@@ -243,13 +248,18 @@ class TestPairwiseSumReplica:
 
 
 def _assert_canonical(N, size, m):
-    got = _canonical_state(N, size, m)
+    a, b = _canonical_state(N, size, m)
+    got = np.full(N, b)
+    got[:size] = a
     want = simulate(N, range(size), m)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _boundaries(N):
-    """Marked-set sizes on the edges of numpy's summation blocks for an N-amplitude sum."""
+    """Marked-set sizes on the block edges of numpy's pairwise sum over N terms.
+
+    Earlier versions replayed that sum for the mean; the exact sum must hold there too.
+    """
     half = N // 2 - N // 2 % 8
     edges = {8, N - N % 8, half, half + 8} if N > 128 else {8, N - N % 8}
     return sorted({0, 1, N - 1, N} | {e for e in edges if 0 < e < N})
@@ -280,8 +290,13 @@ class TestCanonicalState:
         _assert_canonical(N, data.draw(st.integers(0, N)), m)
 
 
-def _two_valued_cum(N, size, a, b):
-    return np.cumsum(np.where(np.arange(N) < size, a * a, b * b))
+def _exact_cum(probs) -> np.ndarray:
+    """Running sum of ``probs`` with each partial sum exact, then rounded once."""
+    return np.array([float(c) for c in accumulate(map(Fraction, probs))])
+
+
+def _two_valued_cum(N, size, pa, pb):
+    return _exact_cum([pa] * size + [pb] * (N - size))
 
 
 def _probe_uniforms(cum, size):
@@ -302,42 +317,70 @@ def _probe_uniforms(cum, size):
     return np.array([u for u in us if 0.0 <= u < 1.0])
 
 
-class TestDecidesK:
-    """One comparison against cum[size - 1] equals _sample(cum, u) < size."""
+def _reference_decided_k(cum, size, u) -> int:
+    """How many uniforms ``u`` sample an index below ``size`` by searchsorted over ``cum``."""
+    index = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+    return int(np.count_nonzero(index < size))
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8, 129, 1031])
+
+def _decided_k(monkeypatch, N, size, amplitudes, u) -> int:
+    """How many uniforms ``u`` run_discrimination decides K on, for the state (a, b)."""
+    monkeypatch.setattr(sv, "_canonical_state", lambda *_: amplitudes)
+    monkeypatch.setattr(sv, "_trial_uniforms", lambda *_: iter([u]))
+    if size == 0:
+        return run_discrimination(make_instance(N, 0, N), "M", 1, len(u), seed=0).errors
+    return len(u) - run_discrimination(make_instance(N, 0, size), "K", 1, len(u), seed=0).errors
+
+
+class TestDecidesK:
+    """run_discrimination's u * total < marked decides as searchsorted(side="right")
+    over the exact running sum of the squared state, each partial sum rounded once.
+
+    Both decisions are monotone in u, so equal counts over the same uniforms
+    mean equal decisions on each of them.
+    """
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 129, 1031])
     @pytest.mark.parametrize(
-        "a, b",
+        "a, b",  # amplitudes up to a common scale
         [
             (0.6, 0.05),
             (0.0, 0.25),  # flat run over the marked indices
             (0.25, 0.0),  # flat run over the rest
             (0.0, 0.0),
-            (0.125, 0.125),  # dyadic: cum[-1] is a power of two
+            (0.125, 0.125),  # dyadic at N = 64: total is 1 exactly
         ],
     )
-    def test_matches_sample(self, N, a, b):
+    def test_matches_sample(self, monkeypatch, N, a, b):
         for size in sorted({0, 1, max(N - 1, 0), N}):
-            cum = _two_valued_cum(N, size, a, b)
+            norm = math.sqrt(size * a * a + (N - size) * b * b)
+            if norm == 0.0:
+                with pytest.raises(ValueError, match="not normalized"):
+                    _decided_k(monkeypatch, N, size, (a, b), np.array([0.5]))
+                continue
+            amplitudes = (a / norm, b / norm)
+            cum = _two_valued_cum(N, size, *(x * x for x in amplitudes))
             u = _probe_uniforms(cum, size)
-            np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+            want = _reference_decided_k(cum, size, u)
+            assert _decided_k(monkeypatch, N, size, amplitudes, u) == want
 
     @pytest.mark.parametrize("N, size, m", [(4096, 8, 39), (4096, 12, 39), (65536, 13, 1627)])
-    def test_canonical_states_with_ties(self, N, size, m):
-        cum = _cumulative(_canonical_state(N, size, m))
+    def test_canonical_states_with_ties(self, monkeypatch, N, size, m):
+        a, b = _canonical_state(N, size, m)
+        cum = _two_valued_cum(N, size, a * a, b * b)
         u = _probe_uniforms(cum, size)
         assert np.any(u * cum[-1] == cum[size - 1])  # the probe hits a tie
-        np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+        assert _decided_k(monkeypatch, N, size, (a, b), u) == _reference_decided_k(cum, size, u)
 
-    def test_exact_ties_decide_m(self):
-        # cum = 1/16, 2/16, ..., 1: u = cum[size - 1] is a tie, and searchsorted's
-        # side="right" puts the sample at index size, which is unmarked.
-        cum = _two_valued_cum(16, 5, 0.25, 0.25)
+    def test_exact_ties_decide_m(self, monkeypatch):
+        # a = b = 1/4 over 16: cum = 1/16, 2/16, ..., 1, so u = cum[size - 1] is a
+        # tie, and searchsorted's side="right" puts the sample at index size, unmarked.
+        cum = _exact_cum([0.0625] * 16)
         u = cum[:-1].copy()
         for size in range(1, 16):
             assert u[size - 1] * cum[-1] == cum[size - 1]
-            np.testing.assert_array_equal(_decides_k(cum, size, u), np.arange(1, 16) < size)
-            np.testing.assert_array_equal(_decides_k(cum, size, u), _sample(cum, u) < size)
+            assert _decided_k(monkeypatch, 16, size, (0.25, 0.25), u) == size - 1
+            assert _reference_decided_k(cum, size, u) == size - 1
 
 
 class TestMeasure:
@@ -408,8 +451,6 @@ class TestTrialUniforms:
 
 def _record_state_evolutions(monkeypatch) -> list[tuple]:
     """Patch run_discrimination's state evolution to log its (N, size, m) calls."""
-    import groverstop.statevector as sv
-
     evolved = []
     real = sv._canonical_state
 
@@ -490,6 +531,36 @@ class TestRunDiscrimination:
             decided_k = int(np.count_nonzero(index < size))
             errors = decided_k if truth == "M" else trials - decided_k
             assert run_discrimination(inst, truth, l, trials, seed).errors == errors
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        N=st.integers(1, 2000),
+        m=st.integers(0, 40),
+        trials=st.integers(1, 400),
+        seed=st.integers(0, 2**64),
+    )
+    def test_matches_exact_reference(self, data, N, m, trials, seed):
+        K = data.draw(st.integers(1, N))
+        inst = make_instance(N, data.draw(st.integers(0, K - 1)), K)
+        u = np.array([trial_rng(seed, t).random() for t in range(trials)])
+        for truth, size in (("M", inst.M), ("K", inst.K)):
+            cum = _exact_cum((simulate(N, range(size), m) ** 2).tolist())
+            decided_k = _reference_decided_k(cum, size, u)
+            errors = decided_k if truth == "M" else trials - decided_k
+            assert run_discrimination(inst, truth, 2 * m + 1, trials, seed).errors == errors
+
+    def test_no_n_long_allocation_at_the_cap(self):
+        # One float64 array of N = FULL_SIM_CAP amplitudes is 32 MiB.
+        inst = make_instance(FULL_SIM_CAP, 37, 41)
+        for truth in ("M", "K"):
+            tracemalloc.start()
+            try:
+                run_discrimination(inst, truth, 10571, 2000, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected_before_simulation(self, monkeypatch, seed):
