@@ -23,12 +23,10 @@ from .core_model import (
 )
 from .diophantine import (
     SearchReport,
-    TorusPoint,
     default_horizon,
     minimal_odd_l,
-    relaxed_score,
-    strict_distance,
-    torus_point,
+    orbit_coords,
+    target_distance,
 )
 from .statevector import (
     DiscriminationOutcome,

@@ -35,7 +35,6 @@ from .diophantine import (
     horizon_for_bound,
     minimal_odd_l,
     orbit_coords,
-    relaxed_score,
     scan_rows,
     target_distance,
 )
@@ -203,7 +202,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     # The exact parts are computed for all rows at once; the trig stays scalar
     # libm per l, which vectorised numpy need not match in the last ulp.
     l_list = ls.tolist()
-    scores = [relaxed_score(l, angles) for l in l_list]
+    scores = [max(failure_kernel(l, angles)) for l in l_list]
     rows = zip(l_list, x_K.tolist(), x_M.tolist(), distance.tolist(), scores)
     _emit(_csv_text(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows), args.out)
     return EXIT_OK

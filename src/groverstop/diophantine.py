@@ -11,11 +11,9 @@ neighborhood of (1/4, 0).  This module scans that orbit directly:
   (1/4 mod 1/2, 0 mod 1/2) and therefore never finds a larger l than strict.
 
 Scans are linear over odd l.  At desk-scale horizons this is exact and doubles
-as the ground-truth oracle for the constructive rule.  Disjoint l-ranges can
-be scanned independently and merged by taking the minimum found l.
-``scan_rows`` scans many rows (angle pairs, each with its own horizon)
-together, one chunk of l for every row still scanning; ``minimal_odd_l`` is
-its one-row call.
+as the ground-truth oracle for the constructive rule.  ``scan_rows`` scans
+many rows (angle pairs, each with its own horizon) together, one chunk of l
+for every row still scanning; ``minimal_odd_l`` is its one-row call.
 
 Both scores are within a threshold only where the orbit point is near the
 target, so a chunk is first filtered without trig or fmod.  Relaxed mode
@@ -42,16 +40,12 @@ from .core_model import GroverAngles, ProblemInstance, failure_kernel
 from .transforms import iteration_bound
 
 __all__ = [
-    "TorusPoint",
     "SearchReport",
     "SCAN_CHUNK",
     "HORIZON_CAP",
     "circle_distance",
     "orbit_coords",
-    "torus_point",
     "target_distance",
-    "strict_distance",
-    "relaxed_score",
     "default_horizon",
     "minimal_odd_l",
     "scan_rows",
@@ -63,15 +57,6 @@ SCAN_CHUNK = 1 << 16  # widest chunk of l, and most scores a scan holds at once
 _FIRST_CHUNK = 1 << 8
 HORIZON_CAP = 10**8 - 1  # largest odd default horizon
 _L_EXACT = 1 << 53  # odd l beyond this are not exact doubles: no scan gets there
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Orbit point at discrete (odd) time l."""
-
-    l: int
-    x_K: float  # frac(l * theta_K / (4*pi))
-    x_M: float  # frac(l * theta_M / (4*pi))
 
 
 @dataclass(frozen=True)
@@ -95,36 +80,18 @@ def circle_distance(a, b):
 def orbit_coords(l, angles: GroverAngles):
     """(l*theta_K/4pi mod 1, l*theta_M/4pi mod 1); elementwise when l is an array.
 
-    No parity check: callers validate l.  An integer array gives, element by
-    element, the same doubles as a Python int.
+    The public coordinate function, for scalars and arrays: ``orbit`` prints
+    these doubles and a strict scan scores them.  No parity check: callers
+    validate l.  An integer array gives, element by element, the same doubles
+    as a Python int.
     """
     four_pi = 4.0 * math.pi
     return (l * angles.theta_K / four_pi) % 1.0, (l * angles.theta_M / four_pi) % 1.0
 
 
-def torus_point(l: int, angles: GroverAngles) -> TorusPoint:
-    """Orbit coordinates at odd time l, reduced mod 1 into [0, 1)."""
-    if l < 1 or l % 2 == 0:
-        raise ValueError(f"l must be odd and >= 1, got {l}")
-    x_K, x_M = orbit_coords(l, angles)
-    return TorusPoint(l=l, x_K=x_K, x_M=x_M)
-
-
 def target_distance(x_K, x_M):
     """L-infinity circle distance of (x_K, x_M) to (1/4, 0), elementwise on arrays."""
     return np.maximum(circle_distance(x_K, 0.25), circle_distance(x_M, 0.0))
-
-
-def strict_distance(pt: TorusPoint) -> float:
-    """L-infinity circle distance of the orbit point to the target (1/4, 0)."""
-    return float(target_distance(pt.x_K, pt.x_M))
-
-
-def relaxed_score(l: int, angles: GroverAngles) -> float:
-    """Worst-case failure probability at stopping time l over both hypotheses."""
-    if l % 2 == 0:
-        raise ValueError(f"l must be odd, got {l}")
-    return max(failure_kernel(l, angles))
 
 
 def default_horizon(instance: ProblemInstance) -> int:
@@ -147,8 +114,7 @@ def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.
     """
     if mode == "relaxed":
         return np.maximum(*failure_kernel(ls, angles))
-    four_pi = 4.0 * math.pi
-    return target_distance(ls * (angles.theta_K / four_pi), ls * (angles.theta_M / four_pi))
+    return target_distance(*orbit_coords(ls, angles))
 
 
 def _relaxed_reach(threshold: float) -> float:
@@ -199,10 +165,13 @@ def _block_hits(ls, theta_K, theta_M, horizons, threshold, mode, work):
     So each row's first hit comes before its others.  ``work`` comes from
     ``_work_arrays``.
 
-    A turn count of the filter is off from the kernel's argument in turns by at
-    most (5*|y| + 1/2) * 2^-53: the roundings of the turn angle, theta/turn,
-    the product and the shift, and the kernel's own product.  The filter
-    allows 8 * (|y| + 1) * 2^-53, |y| taken at the block's largest l and theta.
+    A turn count y of the filter is off from the kernel's by at most
+    (5*|y| + 1) * 2^-53.  Relaxed: the roundings of the turn angle, theta/turn,
+    the product and the shift, and the kernel's product.  Strict, in 2^-53
+    (one 4.0 * math.pi for both): the filter's theta/turn, product and shift,
+    3*|y| + 1/4; ``orbit_coords``'s l*theta and division, 2*|y|, then an exact
+    mod 1 and a distance to 1/4 that rounds once, 1/2.  The filter allows
+    8 * (|y| + 1) * 2^-53, |y| taken at the block's largest l and theta.
     """
     shape = (theta_K.size, ls.size)
     y, t, keep, near = (a[: shape[0] * shape[1]].reshape(shape) for a in work)

@@ -123,7 +123,6 @@ def pad_for_ratio(
     assert angles.gamma is not None
     excess = angles.gamma - 1.0
     gamma_prime_lower = math.sqrt((r + a) / (r + 1.0)) - 1.0
-    gap = math.sqrt(K_prime) - math.sqrt(M_prime)
     return PaddedInstance(
         r=r,
         M_prime=M_prime,
@@ -134,7 +133,7 @@ def pad_for_ratio(
         gamma_prime_lower=gamma_prime_lower,
         gamma_gap_ok=excess >= gamma_prime_lower,
         size_condition_ok=math.sqrt(K_prime / N_prime) < 16.0 * excess**2,
-        m_bound_padded=2.0 * math.sqrt(N_prime) / gap,
+        m_bound_padded=iteration_bound(padded).m_bound,
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,82 +14,79 @@ from groverstop import (
     failure_kernel,
     make_instance,
     minimal_odd_l,
-    relaxed_score,
-    strict_distance,
-    torus_point,
+    orbit_coords,
+    target_distance,
 )
 from groverstop.core_model import GroverAngles
 from groverstop import diophantine
+from groverstop.cli import main
 from groverstop.diophantine import (
     _FIRST_CHUNK,
     HORIZON_CAP,
     SCAN_CHUNK,
-    TorusPoint,
     _block_hits,
     _chunk_scores,
     _work_arrays,
     circle_distance,
-    orbit_coords,
     scan_rows,
-    target_distance,
 )
 
 from test_stopping_rule import sample_applicable
 
 
 class TestTorusPoint:
+    """``orbit_coords`` at one odd l, a Python int."""
+
     def test_first_orbit_point(self):
-        pt = torus_point(1, angles_of(make_instance(4, 1, 2)))
-        assert pt.x_K == pytest.approx(1 / 8, abs=1e-15)
-        assert pt.x_M == pytest.approx(1 / 12, abs=1e-15)
+        x_K, x_M = orbit_coords(1, angles_of(make_instance(4, 1, 2)))
+        assert x_K == pytest.approx(1 / 8, abs=1e-15)
+        assert x_M == pytest.approx(1 / 12, abs=1e-15)
 
     def test_exact_hit(self):
-        pt = torus_point(3, angles_of(make_instance(4, 0, 1)))
-        assert pt.x_K == pytest.approx(0.25, abs=1e-15)
-        assert pt.x_M == 0.0
+        x_K, x_M = orbit_coords(3, angles_of(make_instance(4, 0, 1)))
+        assert x_K == pytest.approx(0.25, abs=1e-15)
+        assert x_M == 0.0
 
     def test_wrap_around(self):
         # theta_K = pi when K = N, so l=5 gives frac(5/4) = 1/4.
-        pt = torus_point(5, angles_of(make_instance(4, 1, 4)))
-        assert pt.x_K == pytest.approx(0.25, abs=1e-15)
-
-    def test_even_l_rejected(self):
-        with pytest.raises(ValueError):
-            torus_point(2, angles_of(make_instance(4, 1, 2)))
+        x_K, _ = orbit_coords(5, angles_of(make_instance(4, 1, 4)))
+        assert x_K == pytest.approx(0.25, abs=1e-15)
 
     def test_coordinates_in_unit_interval(self):
         ang = angles_of(make_instance(997, 13, 19))
         for l in range(1, 400, 2):
-            pt = torus_point(l, ang)
-            assert 0.0 <= pt.x_K < 1.0
-            assert 0.0 <= pt.x_M < 1.0
+            x_K, x_M = orbit_coords(l, ang)
+            assert 0.0 <= x_K < 1.0
+            assert 0.0 <= x_M < 1.0
 
 
 class TestStrictDistance:
+    """``target_distance`` of one point."""
+
     def test_target_itself(self):
-        assert strict_distance(TorusPoint(l=1, x_K=0.25, x_M=0.0)) == 0.0
+        assert target_distance(0.25, 0.0) == 0.0
 
     def test_circle_metric(self):
-        d = strict_distance(TorusPoint(l=1, x_K=0.99, x_M=0.5))
+        d = target_distance(0.99, 0.5)
         assert d == pytest.approx(0.5, abs=1e-15)
         assert circle_distance(0.99, 0.25) == pytest.approx(0.26, abs=1e-12)
 
     def test_wrap_on_second_coordinate(self):
         delta = 1e-4
-        d = strict_distance(TorusPoint(l=1, x_K=0.25 + delta, x_M=1.0 - delta))
+        d = target_distance(0.25 + delta, 1.0 - delta)
         assert d == pytest.approx(delta, abs=1e-12)
 
 
 class TestRelaxedScore:
+    """The worst failure probability at l, ``orbit``'s relaxed_score column."""
+
     def test_exact_success(self):
-        assert relaxed_score(3, angles_of(make_instance(4, 0, 1))) == pytest.approx(
-            0.0, abs=1e-30
-        )
+        score = max(failure_kernel(3, angles_of(make_instance(4, 0, 1))))
+        assert score == pytest.approx(0.0, abs=1e-30)
 
     def test_closed_form(self):
-        assert relaxed_score(1, angles_of(make_instance(4, 1, 2))) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        score = max(failure_kernel(1, angles_of(make_instance(4, 1, 2))))
+        assert score == pytest.approx(0.5, abs=1e-15)
 
     def test_strict_hit_implies_relaxed_bound(self):
         # 1e4 random (instance, l, eps) trials of the implication.
@@ -101,9 +99,9 @@ class TestRelaxedScore:
             l = 2 * int(rng.integers(0, 2000)) + 1
             eps = float(rng.uniform(0.001, 0.2))
             ang = angles_of(make_instance(N, M, K))
-            if strict_distance(torus_point(l, ang)) <= eps:
+            if target_distance(*orbit_coords(l, ang)) <= eps:
                 triggered += 1
-                assert relaxed_score(l, ang) <= math.sin(2 * math.pi * eps) ** 2 + 1e-12
+                assert max(failure_kernel(l, ang)) <= math.sin(2 * math.pi * eps) ** 2 + 1e-12
         assert triggered > 10
 
 
@@ -118,9 +116,31 @@ class TestOrbitArrays:
             x_K, x_M = orbit_coords(ls, ang)
             dist = target_distance(x_K, x_M)
             for i, l in enumerate(ls.tolist()):
-                pt = torus_point(l, ang)
-                assert (x_K[i], x_M[i]) == (pt.x_K, pt.x_M)
-                assert dist[i] == strict_distance(pt)
+                point = orbit_coords(l, ang)
+                assert (x_K[i], x_M[i]) == point
+                assert dist[i] == target_distance(*point)
+
+
+class TestStrictScoreIsOrbitDistance:
+    """A strict scan scores the very doubles ``orbit`` prints."""
+
+    def test_chunk_scores_equal_target_distance_of_orbit_coords(self):
+        angles = angles_of(make_instance(1 << 20, 37, 41))
+        ls = np.arange(1, 2 * 10**6, 2, dtype=np.float64)
+        expected = target_distance(*orbit_coords(ls, angles))
+        assert _chunk_scores(ls, angles, "strict").tobytes() == expected.tobytes()
+
+    def test_search_score_equals_orbit_strict_distance(self, capsys):
+        # The threshold is l = 11's strict score when l*(theta/4pi) was rounded
+        # instead of (l*theta)/4pi; the orbit's own distance is one ulp lower.
+        instance = ["--N", "4096", "--M", "8", "--K", "12"]
+        tol = "0.15519401563088833"
+        assert main(["search", *instance, "--tol", tol, "--mode", "strict"]) == 0
+        report = json.loads(capsys.readouterr().out)["search"]
+        assert main(["orbit", *instance, "--l-max", "11"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert report["l"] == int(row[0]) == 11
+        assert report["score"] == float(row[3])
 
 
 class TestMinimalOddL:
@@ -150,7 +170,7 @@ class TestMinimalOddL:
         report = minimal_odd_l(ang, 0.25, default_horizon(inst))
         assert report.found
         for l in range(1, report.l, 2):
-            assert relaxed_score(l, ang) > 0.25
+            assert max(failure_kernel(l, ang)) > 0.25
 
     def test_parity(self):
         rng = np.random.default_rng(19)

@@ -1,0 +1,46 @@
+"""The package's public names are consistent.
+
+A stale ``__all__`` entry breaks ``from groverstop.<module> import *``, and a
+name the package imports but its module does not list is public by accident.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import groverstop
+
+MODULES = ("cli", "core_model", "diophantine", "statevector", "stopping_rule", "transforms")
+RETIRED = ("TorusPoint", "torus_point", "strict_distance", "relaxed_score")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"groverstop.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    for attr in module.__all__:
+        assert hasattr(module, attr), f"groverstop.{name}.__all__ lists missing {attr!r}"
+    namespace = {}
+    exec(f"from groverstop.{name} import *", namespace)
+
+
+def test_package_imports_only_listed_names():
+    tree = ast.parse(Path(groverstop.__file__).read_text())
+    imported = 0
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"groverstop.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+                imported += 1
+    assert imported > 0
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_point_api_is_gone(name):
+    diophantine = importlib.import_module("groverstop.diophantine")
+    assert not hasattr(groverstop, name)
+    assert not hasattr(diophantine, name)
+    assert name not in diophantine.__all__

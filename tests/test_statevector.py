@@ -317,6 +317,12 @@ def _probe_uniforms(cum, size):
     return np.array([u for u in us if 0.0 <= u < 1.0])
 
 
+def _edge(cum, size) -> Fraction:
+    """cum[size-1]/cum[-1] as an exact fraction, 0 for size 0: the edge of
+    searchsorted's decision over ``cum``."""
+    return Fraction(cum[size - 1]) / Fraction(cum[-1]) if size else Fraction(0)
+
+
 def _reference_decided_k(cum, size, u) -> int:
     """How many uniforms ``u`` sample an index below ``size`` by searchsorted over ``cum``."""
     index = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
@@ -521,16 +527,31 @@ class TestRunDiscrimination:
         seed=st.integers(0, 2**64),
     )
     def test_matches_searchsorted_reference(self, data, N, m, trials, seed):
+        """Uniform by uniform, run_discrimination decides as searchsorted over
+        numpy's running cumsum, except for a uniform between the two edges.
+
+        Each decision is K iff u * c < d in floats, for searchsorted with
+        d/c = cum[size-1]/cum[-1] and for run_discrimination with marked/total.
+        The product rounds, so K holds below d/c * (1 - 2^-53) and fails at or
+        above d/c; in between, u * c may round up to d.
+        """
         K = data.draw(st.integers(1, N))
         inst = make_instance(N, data.draw(st.integers(0, K - 1)), K)
-        l = 2 * m + 1
+        u = np.array([trial_rng(seed, t).random() for t in range(trials)])
         for truth, size in (("M", inst.M), ("K", inst.K)):
-            cum = np.cumsum(simulate(N, range(size), m) ** 2)
-            u = np.array([trial_rng(seed, t).random() for t in range(trials)])
+            probs = simulate(N, range(size), m) ** 2
+            cum = np.cumsum(probs)
             index = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), N - 1)
-            decided_k = int(np.count_nonzero(index < size))
-            errors = decided_k if truth == "M" else trials - decided_k
-            assert run_discrimination(inst, truth, l, trials, seed).errors == errors
+            errors = run_discrimination(inst, truth, 2 * m + 1, trials, seed).errors
+            decided_k = errors if truth == "M" else trials - errors
+            # u * total < marked is monotone in u: K on the decided_k smallest uniforms.
+            ours_k = u < np.append(np.sort(u), 1.0)[decided_k]
+            assert np.count_nonzero(ours_k) == decided_k
+            searched, exact = _edge(cum, size), _edge(_exact_cum(probs.tolist()), size)
+            low, high = sorted((searched, exact))
+            for v in u[ours_k != (index < size)].tolist():
+                assert low * (1 - Fraction(1, 2**53)) <= Fraction(v) < high
+            assert high - low <= Fraction(1.8e-10) * exact
 
     @settings(max_examples=60, deadline=None)
     @given(
