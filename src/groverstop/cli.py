@@ -23,7 +23,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .core_model import (
-    GroverAngles,
     angles_of,
     error_bound,
     failure_kernel,
@@ -199,11 +198,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     ls = np.arange(1, args.l_max + 1, 2)
     x_K, x_M = orbit_coords(ls, angles)
     distance = target_distance(x_K, x_M)
-    # The exact parts are computed for all rows at once; the trig stays scalar
-    # libm per l, which vectorised numpy need not match in the last ulp.
-    l_list = ls.tolist()
-    scores = [max(failure_kernel(l, angles)) for l in l_list]
-    rows = zip(l_list, x_K.tolist(), x_M.tolist(), distance.tolist(), scores)
+    scores = np.maximum(*failure_kernel(ls, angles))
+    rows = zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist(), scores.tolist())
     _emit(_csv_text(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows), args.out)
     return EXIT_OK
 
@@ -211,7 +207,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def build_table_rows(
     triples: Iterable[tuple[int, int, int]], epsilon: float, horizon: int | None = None
 ) -> list[TableRow]:
-    """Table rows: each minimal l's failure pair, else the certified rule's.
+    """Table rows: the failure pair the scan found at l_minimal, else the certified rule's.
 
     The scalar work runs once per row; the scans of all rows run together.
     """
@@ -237,12 +233,10 @@ def build_table_rows(
         theta_K.append(angles.theta_K)
         theta_M.append(angles.theta_M)
         horizons.append(scan_horizon)
-    found, _ = scan_rows(theta_K, theta_M, error_bound(epsilon), horizons)
-    for row, l in zip(rows, found.tolist()):
+    found, _, fail_K, fail_M = scan_rows(theta_K, theta_M, error_bound(epsilon), horizons)
+    for row, l, f_K, f_M in zip(rows, found.tolist(), fail_K.tolist(), fail_M.tolist()):
         if l:
-            row.l_minimal = l
-            angles = GroverAngles(row.theta_M, row.theta_K, row.gamma)
-            row.fail_K, row.fail_M = failure_kernel(l, angles)
+            row.l_minimal, row.fail_K, row.fail_M = l, f_K, f_M
     return rows
 
 
@@ -352,7 +346,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             theta_M.append(angles.theta_M)
             horizons.append(args.horizon if args.horizon is not None else horizon_for_bound(l_bound))
             l_bounds.append(l_bound)
-    found, _ = scan_rows(theta_K, theta_M, bound, horizons)
+    found, *_ = scan_rows(theta_K, theta_M, bound, horizons)
     entries = []
     for (m, k), l, horizon, l_bound in zip(pairs, found.tolist(), horizons, l_bounds):
         # Exhausted scans get their lower-bound ratio from the horizon itself.

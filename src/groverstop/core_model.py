@@ -139,16 +139,15 @@ def state_after(m: int, theta: float) -> SubspaceState:
 def failure_kernel(l, angles: GroverAngles):
     """(fail_K, fail_M) = (cos^2(l*theta_K/2), sin^2(l*theta_M/2)) at stopping time l.
 
-    The one implementation of the failure pair.  A scalar l gives two Python
-    floats from libm (``math``), equal to numpy's scalar path; an array of l
-    gives two arrays, elementwise, and the thetas may then be arrays too.  An
-    array squares by multiplication and a float by ``pow``, so the two paths
-    can differ in the last ulp even where their cosines agree.  No parity
-    check: this sits on the scan's hot path.
+    The one implementation of the failure pair.  An array of l gives two
+    arrays from numpy, elementwise, and the thetas may then be arrays too:
+    scans decide and report with it.  A scalar l gives two Python floats from
+    libm (``math``), for the certificate and ``failure_probabilities``.  Both
+    square by multiplication.  No parity check: this sits on the scan's hot path.
     """
-    if isinstance(l, np.ndarray):
-        return np.cos(0.5 * l * angles.theta_K) ** 2, np.sin(0.5 * l * angles.theta_M) ** 2
-    return math.cos(0.5 * l * angles.theta_K) ** 2, math.sin(0.5 * l * angles.theta_M) ** 2
+    trig = np if isinstance(l, np.ndarray) else math
+    c, s = trig.cos(0.5 * l * angles.theta_K), trig.sin(0.5 * l * angles.theta_M)
+    return c * c, s * s
 
 
 def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:

@@ -194,8 +194,10 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
     """Smallest odd l <= horizon within the threshold, for each row.
 
     Row i has angles (theta_K[i], theta_M[i]) and horizon horizons[i] (an
-    int).  Returns two arrays: each row's l, 0 where none was found, and its
-    score, NaN where none was found.
+    int).  Returns four arrays: each row's l, 0 where none was found, and its
+    score, fail_K and fail_M at that l, NaN where none was found.  The pair
+    comes from one array ``failure_kernel`` call after the scan, the kernel
+    a relaxed scan decides with, so a relaxed score is the pair's maximum.
 
     Every round scores one chunk of odd l for each row still scanning: the
     first chunk holds _FIRST_CHUNK values, and each next one twice as many,
@@ -230,7 +232,11 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
             start += 2 * width
             active = active[(found_l[active] == 0) & (horizons[active] >= start)]
             width, done = min(2 * width, SCAN_CHUNK), 0
-    return found_l, found_score
+    fail_K, fail_M = np.full(horizons.size, np.nan), np.full(horizons.size, np.nan)
+    hit = found_l > 0
+    angles = GroverAngles(theta_M=theta_M[hit], theta_K=theta_K[hit], gamma=None)
+    fail_K[hit], fail_M[hit] = failure_kernel(found_l[hit].astype(np.float64), angles)
+    return found_l, found_score, fail_K, fail_M
 
 
 def minimal_odd_l(
@@ -244,13 +250,13 @@ def minimal_odd_l(
     Not finding one is a result, not an error: the report then records that
     every odd l up to the horizon was scanned.  The one-row ``scan_rows``.
     """
-    (l,), (score,) = scan_rows([angles.theta_K], [angles.theta_M], threshold, [horizon], mode)
+    (l,), *values = scan_rows([angles.theta_K], [angles.theta_M], threshold, [horizon], mode)
     l = int(l) or None
-    fail_K, fail_M = failure_kernel(l, angles) if l else (None, None)
+    score, fail_K, fail_M = (float(v) if l else None for (v,) in values)
     return SearchReport(
         found=l is not None,
         l=l,
-        score=float(score) if l else None,
+        score=score,
         fail_K=fail_K,
         fail_M=fail_M,
         horizon=horizon,

@@ -196,7 +196,8 @@ class TestTableCommand:
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
         def missed(theta_K, theta_M, threshold, horizons, mode="relaxed"):
-            return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
+            nan = np.full(len(horizons), np.nan)
+            return np.zeros(len(horizons), dtype=np.int64), nan, nan, nan
 
         monkeypatch.setattr(cli, "scan_rows", missed)
         row = build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0]

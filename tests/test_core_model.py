@@ -232,8 +232,9 @@ class TestFailureKernel:
         for l in (1, 3, 79, 3255, 999_999):
             fail_K, fail_M = failure_kernel(l, ang)
             assert type(fail_K) is float and type(fail_M) is float
-            assert fail_K == math.cos(0.5 * l * ang.theta_K) ** 2
-            assert fail_M == math.sin(0.5 * l * ang.theta_M) ** 2
+            c, s = math.cos(0.5 * l * ang.theta_K), math.sin(0.5 * l * ang.theta_M)
+            assert fail_K == c * c
+            assert fail_M == s * s
 
     def test_array_matches_scalar_closely(self):
         ang = angles_of(make_instance(4096, 8, 12))
@@ -245,20 +246,22 @@ class TestFailureKernel:
             assert fail_K[i] == pytest.approx(pair.fail_K, abs=1e-15)
             assert fail_M[i] == pytest.approx(pair.fail_M, abs=1e-15)
 
-    def test_scalar_path_equals_numpy_scalar_path(self):
-        # The scalar path used numpy scalars before it used math; reports
-        # recorded then must not move by an ulp.
+    def test_both_paths_square_by_multiplication(self):
+        # One squaring: a float's pow(c, 2) and c * c differ in the last ulp
+        # on about 1 argument in 1000, so a pow on either path would show.
         rng = np.random.default_rng(71)
         for _ in range(40):
             N = int(rng.integers(4, 1 << 48))
             K = int(rng.integers(1, N + 1))
             ang = angles_of(make_instance(N, int(rng.integers(0, K)), K))
-            for l in (2 * rng.integers(0, 5 * 10**7, size=100) + 1).tolist():
-                expected = (
-                    float(np.cos(0.5 * l * ang.theta_K) ** 2),
-                    float(np.sin(0.5 * l * ang.theta_M) ** 2),
-                )
-                assert failure_kernel(l, ang) == expected
+            ls = 2 * rng.integers(0, 5 * 10**7, size=100) + 1
+            for l in ls.tolist():
+                c, s = math.cos(0.5 * l * ang.theta_K), math.sin(0.5 * l * ang.theta_M)
+                assert failure_kernel(l, ang) == (c * c, s * s)
+            c, s = np.cos(0.5 * ls * ang.theta_K), np.sin(0.5 * ls * ang.theta_M)
+            fail_K, fail_M = failure_kernel(ls, ang)
+            assert fail_K.tobytes() == (c * c).tobytes()
+            assert fail_M.tobytes() == (s * s).tobytes()
 
     def test_even_l_does_not_warn(self, recwarn):
         failure_kernel(2, angles_of(make_instance(4, 1, 2)))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groverstop import (
     angles_of,
@@ -19,7 +19,7 @@ from groverstop import (
 )
 from groverstop.core_model import GroverAngles
 from groverstop import diophantine
-from groverstop.cli import main
+from groverstop.cli import build_table_rows, main
 from groverstop.diophantine import (
     _FIRST_CHUNK,
     HORIZON_CAP,
@@ -328,8 +328,59 @@ def _bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
+class TestReportsCarryTheScansPair:
+    """Every printed relaxed number is the array kernel's that the scan decides with."""
+
+    def test_search_score_is_its_fail_K(self, capsys):
+        assert main("search --N 1048576 --M 122 --K 147 --tol 0.25".split()) == 0
+        report = json.loads(capsys.readouterr().out)["search"]
+        assert report["score"] == report["fail_K"] == 0.230733974960778
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        instance=_triples(),
+        mode=st.sampled_from(["relaxed", "strict"]),
+        exponent=st.floats(-6.0, -0.05),
+    )
+    @example(instance=make_instance(1048576, 122, 147), mode="relaxed", exponent=math.log10(0.25))
+    def test_minimal_odd_l_pair_is_the_array_kernel(self, instance, mode, exponent):
+        angles = angles_of(instance)
+        horizon = min(default_horizon(instance), 200001)
+        report = minimal_odd_l(angles, 10.0**exponent, horizon, mode)
+        if not report.found:
+            assert report.score is report.fail_K is report.fail_M is None
+            return
+        fail_K, fail_M = failure_kernel(np.array([report.l], float), angles)
+        assert _bits(report.fail_K) + _bits(report.fail_M) == fail_K.tobytes() + fail_M.tobytes()
+        if mode == "relaxed":
+            assert _bits(report.score) == _bits(max(report.fail_K, report.fail_M))
+
+    def test_table_pair_at_l_minimal_is_the_array_kernel(self):
+        triples = [(N, M, K) for N in range(65536, 1048577, 131072)
+                   for M in range(1, 41, 3) for K in range(2, 61, 5) if M < K]
+        rows = [row for row in build_table_rows(triples, 0.02) if row.l_minimal]
+        ls = np.array([row.l_minimal for row in rows], float)
+        angles = GroverAngles(
+            theta_M=np.array([row.theta_M for row in rows]),
+            theta_K=np.array([row.theta_K for row in rows]),
+            gamma=None,
+        )
+        fail_K, fail_M = failure_kernel(ls, angles)
+        assert len(rows) > 100
+        assert np.array([row.fail_K for row in rows]).tobytes() == fail_K.tobytes()
+        assert np.array([row.fail_M for row in rows]).tobytes() == fail_M.tobytes()
+
+    def test_orbit_relaxed_score_is_the_relaxed_scan_score(self, capsys):
+        assert main("orbit --N 1048576 --M 37 --K 41 --l-max 199999".split()) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        printed = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+        ls = np.arange(1, 200000, 2, dtype=np.float64)
+        expected = _chunk_scores(ls, angles_of(make_instance(1 << 20, 37, 41)), "relaxed")
+        assert printed.tobytes() == expected.tobytes()
+
+
 def _assert_rows_match_reference(angles_list, threshold, horizons, mode):
-    found_l, found_score = scan_rows(
+    found_l, found_score, _, _ = scan_rows(
         [a.theta_K for a in angles_list], [a.theta_M for a in angles_list],
         threshold, horizons, mode,
     )
@@ -398,13 +449,13 @@ class TestScanRows:
         inst = make_instance(1048576, 37, 41)
         angles = angles_of(inst)
         report = minimal_odd_l(angles, 1e-3, 999999)
-        (l,), (score,) = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
+        (l,), (score,), _, _ = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
         assert report.found and (report.l, report.score) == (l, score)
         assert (report.fail_K, report.fail_M) == failure_kernel(report.l, angles)
 
     def test_empty_batch_and_bad_input(self):
-        found_l, found_score = scan_rows([], [], 0.25, [])
-        assert found_l.size == found_score.size == 0
+        found_l, found_score, fail_K, fail_M = scan_rows([], [], 0.25, [])
+        assert found_l.size == found_score.size == fail_K.size == fail_M.size == 0
         with pytest.raises(ValueError):
             scan_rows([0.1, 0.2], [0.05, 0.1], 0.25, [5, 0])
         for threshold in (0.0, 1.0, math.nan):
@@ -412,7 +463,7 @@ class TestScanRows:
                 scan_rows([0.1], [0.05], threshold, [5])
 
     def test_horizon_beyond_exact_doubles_is_accepted(self):
-        (l,), _ = scan_rows([math.pi / 51], [0.0], 1e-12, [10**30])
+        (l,), *_ = scan_rows([math.pi / 51], [0.0], 1e-12, [10**30])
         assert l == 51
 
 

@@ -7,8 +7,10 @@ pinned here.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from groverstop.cli import main
@@ -189,18 +191,20 @@ GOLDEN = [
     # Horizon 3001 ends inside the third chunk; certified rows raise it to
     # their l_constructive, so the rows' horizons differ; some rows hit at
     # l = 3001 and others exhaust it.  The strict search exhausts a horizon
-    # that ends inside a 65536-wide chunk.
+    # that ends inside a 65536-wide chunk.  Declared change: both tables were
+    # re-recorded when the failure pair at l_minimal became the scan's, which
+    # squares by multiplication, not by pow; one fail_M cell moved by 1 ulp.
     (
         "table --N-range 65536:1048576:131072 --M-range 1:40:3 --K-range 2:60:5"
         " --horizon 3001 --epsilon 0.02 --format json",
         0,
-        "06e7802c793a1ae389d29caebaebbd69aef4d82f5873627e155b27ffcc270193",
+        "cca57793ec048c14386b1f3e1db83ea8d02ff33d0ba67f197f356f2ffa78fd5a",
     ),
     (
         "table --N-range 65536:1048576:131072 --M-range 1:40:3 --K-range 2:60:5"
         " --epsilon 0.02 --format json",
         0,
-        "0cd51ff547872637fdd4adf46fa8683f79998ce54931f86ff7a1f63d97a9eec7",
+        "0e38954d59cc3762381c7aca42d2caad7b2270e18cf10a4326d71d364b2e5de3",
     ),
     (
         "search --N 1048576 --M 37 --K 41 --tol 1e-6 --mode strict --horizon 700001",
@@ -213,6 +217,14 @@ GOLDEN = [
         0,
         "69baae5ad8b56c84d5f0af90316d937a1147dc9a2b0ea3855de00f5850c81486",
     ),
+    # Declared change, recorded when a search began to report the failure
+    # pair its scan decided with.  Before, fail_K was squared by pow and
+    # printed 1 ulp above the score, which the scan squares by multiplication.
+    (
+        "search --N 1048576 --M 122 --K 147 --tol 0.25",
+        0,
+        "5ba0e2ee9f3e17ac7df760258fb0b8f717117e62cb34befec2ee9ca6ec2863cf",
+    ),
 ]
 
 
@@ -223,6 +235,24 @@ def test_golden_stdout(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_array_trig_equals_libm():
+    """numpy's array cos/sin give libm's doubles on the arguments a scan computes.
+
+    The pinned search, table and orbit outputs print failure pairs from the
+    array kernel; they match libm's only while this holds on the build.
+    """
+    rng = np.random.default_rng(2024)
+    ls = 2 * rng.integers(0, 5 * 10**7, size=200_000) + 1
+    x = 0.5 * ls * rng.uniform(0.0, math.pi, size=ls.size)
+    for name in ("cos", "sin"):
+        libm = np.array([getattr(math, name)(v) for v in x.tolist()])
+        differ = np.count_nonzero(getattr(np, name)(x) != libm)
+        assert differ == 0, (
+            f"numpy {np.__version__} array {name} differs from libm on {differ} of"
+            f" {x.size} arguments; the golden pins assume they agree bit for bit"
+        )
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
