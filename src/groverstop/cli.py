@@ -18,16 +18,19 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from itertools import chain, compress
+from typing import Any, Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from .core_model import (
+    GroverAngles,
     angles_of,
     error_bound,
     failure_kernel,
     failure_probabilities,
     make_instance,
+    rotation_angles,
 )
 from .diophantine import (
     default_horizon,
@@ -42,17 +45,18 @@ from .stopping_rule import (
     DEFAULT_EPSILON,
     GammaTooLarge,
     NotApplicable,
-    applicability_of,
-    certificate_of,
+    certificate_flags,
     certify,
     check_applicability,
     construct_rule,
+    error_flags,
     require_applicable,
-    rule_of,
+    rule_terms,
 )
 from .transforms import (
     PremiseViolated,
-    iteration_bound,
+    applicability_flags,
+    l_bound_of,
     pad_for_ratio,
     reduce_common_divisor,
 )
@@ -90,6 +94,15 @@ class TableRow:
 
 
 TABLE_FIELDS = [f.name for f in fields(TableRow)]
+# (name, type) of each column: the field's type, without None if it is optional.
+_TABLE_COLUMNS = [
+    (name, next(t for t in get_args(hint) or (hint,) if t is not type(None)))
+    for name, hint in get_type_hints(TableRow).items()
+]
+_ORBIT_COLUMNS = [
+    ("l", int), ("x_K", float), ("x_M", float), ("strict_distance", float),
+    ("relaxed_score", float),
+]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,25 +113,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_real(x: float) -> str:
-    return format(x, ".17g")
+_CELL_FORMAT = {int: "%d", float: "%.17g"}
+
+# A cell's key: 0 for None, 1 for True, 2 for False, None for any other value.
+# An int or float equal to 1 or 0 gets True's or False's key; its column's type
+# still decides its format, so that only caches a few more formats.
+_cell_key = {None: 0, True: 1, False: 2}.get
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_real(value)
-    return str(value)
+def _row_format(columns: Sequence[tuple[str, type]], key: tuple) -> tuple[str, tuple]:
+    """The %-format of rows with this key, and which of their cells it takes."""
+    specs, takes = [], []
+    for (_, kind), cell in zip(columns, key):
+        if cell == 0:
+            spec = ""
+        elif kind is bool:
+            spec = "true" if cell == 1 else "false"
+        else:
+            spec = _CELL_FORMAT[kind]
+        specs.append(spec)
+        takes.append(spec.startswith("%"))
+    return ",".join(specs), tuple(takes)
 
 
-def _csv_text(fieldnames: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    # Cells are None, bool, int, float or field names: none holds a comma,
-    # quote or newline, so none needs quoting.
-    lines = [",".join(fieldnames)]
-    lines += [",".join([_csv_cell(value) for value in row]) for row in rows]
+def _csv_text(columns: Sequence[tuple[str, type]], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV of rows whose cells are None or of their column's type: int, float or bool.
+
+    Each row is written by one %-format, chosen by which of its cells are None
+    and by its bool cells, and built once per choice.  No cell holds a comma,
+    quote or newline, so none needs quoting.
+    """
+    formats: dict[tuple, tuple[str, tuple]] = {}
+    lines = [",".join(name for name, _ in columns)]
+    for row in rows:
+        # (*...,) builds each tuple at its final size.  tuple() of an iterator
+        # resizes a guess, which moves tuples between CPython's per-size free
+        # lists until one holds 2000 of them: 0.3 MiB more peak RSS on 4000 rows.
+        key = (*map(_cell_key, row),)
+        fmt, takes = formats.get(key) or formats.setdefault(key, _row_format(columns, key))
+        lines.append(fmt % (*compress(row, takes),))
     return "\n".join(lines) + "\n"
 
 
@@ -200,7 +233,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     distance = target_distance(x_K, x_M)
     scores = np.maximum(*failure_kernel(ls, angles))
     rows = zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist(), scores.tolist())
-    _emit(_csv_text(["l", "x_K", "x_M", "strict_distance", "relaxed_score"], rows), args.out)
+    _emit(_csv_text(_ORBIT_COLUMNS, rows), args.out)
     return EXIT_OK
 
 
@@ -209,35 +242,81 @@ def build_table_rows(
 ) -> list[TableRow]:
     """Table rows: the failure pair the scan found at l_minimal, else the certified rule's.
 
-    The scalar work runs once per row; the scans of all rows run together.
+    Each triple is validated by ``make_instance``.  Then each column is
+    computed across all rows at once, by the elementwise formulas that the
+    instance-level functions call, and the scans of all rows run together.
+    The transcendentals come from libm, one call per row: asin for the
+    angles, and cos and sin for the rules that pass every other certificate
+    flag.
     """
-    rows, theta_K, theta_M, horizons = [], [], [], []
-    for N, M, K in triples:
-        instance = make_instance(N, M, K)
-        angles = angles_of(instance)
-        bounds = iteration_bound(instance)
-        row = TableRow(
-            N, M, K, angles.theta_M, angles.theta_K, angles.gamma,
-            applicability_of(instance, angles).all_ok,
-            None, None, None, None, bounds.l_bound, None, None,
-        )
-        scan_horizon = horizon if horizon is not None else horizon_for_bound(bounds.l_bound)
-        if M > 0:
-            rule = rule_of(angles, bounds)
-            certificate = certificate_of(rule, angles, epsilon)
-            if certificate.certified:
-                row.p, row.s, row.l_constructive = rule.p, rule.s, rule.l
-                row.fail_K, row.fail_M = certificate.fail_K, certificate.fail_M
-                scan_horizon = max(scan_horizon, rule.l)
-        rows.append(row)
-        theta_K.append(angles.theta_K)
-        theta_M.append(angles.theta_M)
-        horizons.append(scan_horizon)
-    found, _, fail_K, fail_M = scan_rows(theta_K, theta_M, error_bound(epsilon), horizons)
-    for row, l, f_K, f_M in zip(rows, found.tolist(), fail_K.tolist(), fail_M.tolist()):
-        if l:
-            row.l_minimal, row.fail_K, row.fail_M = l, f_K, f_M
-    return rows
+    # Flat, so the tuples die one at a time: CPython keeps up to 2000 freed
+    # tuples of each size, and a list of them all would fill that free list
+    # and hold its memory for the life of the process.
+    N, M, K, ordering_ok = np.fromiter(
+        chain.from_iterable(_COUNTS(make_instance(*triple)) for triple in triples),
+        dtype=np.int64,
+    ).reshape(-1, 4).T
+    n, bound = N.size, error_bound(epsilon)
+    angles = rotation_angles(N, M, K)
+    l_bound = l_bound_of(N, M, K)
+    applicable = ordering_ok.astype(bool) & np.logical_and(
+        *applicability_flags(N, K, angles.gamma)
+    )
+    ruled = np.flatnonzero(M > 0)
+    at, p, s, l, fails = _certified_rules(ruled, angles, l_bound, epsilon, bound)
+    horizons = [horizon] * n if horizon is not None else horizon_for_bound(l_bound).tolist()
+    for i, l_i in zip(at.tolist(), l.tolist()):
+        horizons[i] = max(horizons[i], l_i)
+    found, _, scan_fail_K, scan_fail_M = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
+    hits = np.flatnonzero(found)
+    fail_K, fail_M = np.full(n, np.nan), np.full(n, np.nan)
+    fail_K[at], fail_M[at] = fails.T
+    fail_K[hits], fail_M[hits] = scan_fail_K[hits], scan_fail_M[hits]
+    paired = np.flatnonzero(~np.isnan(fail_K))
+    columns = [
+        N, M, K, angles.theta_M, angles.theta_K, _cells(n, ruled, angles.gamma[ruled]),
+        applicable, _cells(n, at, p), _cells(n, at, s), _cells(n, at, l),
+        _cells(n, hits, found[hits]), l_bound,
+        _cells(n, paired, fail_K[paired]), _cells(n, paired, fail_M[paired]),
+    ]
+    return list(map(TableRow, *[column.tolist() for column in columns]))
+
+
+_COUNTS = attrgetter("N", "M", "K", "strict_regime")
+
+
+def _cells(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An object column of n cells: the values, as Python numbers, at the rows, else None."""
+    column = np.full(n, None, dtype=object)
+    column[rows] = values
+    return column
+
+
+def _certified_rules(ruled, angles, l_bound, epsilon, bound):
+    """(rows, p, s, l, failure pairs) of the certified rules among the given rows.
+
+    The rows must have M > 0.  The failure pair, from libm, is computed only
+    for the rules that pass every other certificate flag.
+    """
+    angles = GroverAngles(
+        theta_M=angles.theta_M[ruled], theta_K=angles.theta_K[ruled], gamma=angles.gamma[ruled]
+    )
+    p, s, l, residual_K, residual_M = rule_terms(angles)
+    flags = certificate_flags(l, residual_K, residual_M, angles.gamma, l_bound[ruled], epsilon)
+    ready = np.flatnonzero(np.logical_and.reduce(list(flags.values())))
+    # Each pair is taken apart as it comes, so no list of tuples builds up.
+    fails = np.fromiter(
+        chain.from_iterable(
+            failure_kernel(l_i, GroverAngles(theta_M=t_M, theta_K=t_K, gamma=None))
+            for l_i, t_M, t_K in zip(
+                l[ready].tolist(), angles.theta_M[ready].tolist(), angles.theta_K[ready].tolist()
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(-1, 2)
+    passed = np.logical_and(*error_flags(fails[:, 0], fails[:, 1], bound))
+    certified = ready[passed]
+    return ruled[certified], p[certified], s[certified], l[certified], fails[passed]
 
 
 def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
@@ -289,7 +368,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(_json_dump([asdict(row) for row in rows]), args.out)
     else:
-        _emit(_csv_text(TABLE_FIELDS, map(attrgetter(*TABLE_FIELDS), rows)), args.out)
+        _emit(_csv_text(_TABLE_COLUMNS, map(attrgetter(*TABLE_FIELDS), rows)), args.out)
     return EXIT_OK
 
 
@@ -333,22 +412,28 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")
-    pairs, theta_K, theta_M, horizons, l_bounds = [], [], [], [], []
-    for m in _parse_range(args.M_range):
-        for k in _parse_range(args.K_range):
-            if not (0 <= m < k <= args.N):
-                continue
-            instance = make_instance(args.N, m, k)
-            angles = angles_of(instance)
-            l_bound = iteration_bound(instance).l_bound
-            pairs.append((m, k))
-            theta_K.append(angles.theta_K)
-            theta_M.append(angles.theta_M)
-            horizons.append(args.horizon if args.horizon is not None else horizon_for_bound(l_bound))
-            l_bounds.append(l_bound)
-    found, *_ = scan_rows(theta_K, theta_M, bound, horizons)
+    # Every pair the filter keeps is a valid triple with the N checked above.
+    M, K = np.fromiter(
+        chain.from_iterable(
+            (m, k)
+            for m in _parse_range(args.M_range)
+            for k in _parse_range(args.K_range)
+            if 0 <= m < k <= args.N
+        ),
+        dtype=np.int64,
+    ).reshape(-1, 2).T
+    N = np.full(M.size, args.N, dtype=np.int64)
+    angles = rotation_angles(N, M, K)
+    l_bounds = l_bound_of(N, M, K)
+    if args.horizon is not None:
+        horizons = [args.horizon] * M.size
+    else:
+        horizons = horizon_for_bound(l_bounds).astype(np.int64).tolist()
+    found, *_ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
     entries = []
-    for (m, k), l, horizon, l_bound in zip(pairs, found.tolist(), horizons, l_bounds):
+    for m, k, l, horizon, l_bound in zip(
+        M.tolist(), K.tolist(), found.tolist(), horizons, l_bounds.tolist()
+    ):
         # Exhausted scans get their lower-bound ratio from the horizon itself.
         ratio = (l or horizon) / l_bound
         if not l or ratio > args.threshold:

@@ -28,6 +28,7 @@ __all__ = [
     "make_instance",
     "half_angle",
     "angles_of",
+    "rotation_angles",
     "state_after",
     "failure_kernel",
     "failure_probabilities",
@@ -111,8 +112,16 @@ def make_instance(N: int, M: int, K: int) -> ProblemInstance:
     return ProblemInstance(N=N, M=M, K=K, strict_regime=2 * K < N)
 
 
-def half_angle(count: int, N: int) -> float:
-    """arcsin(sqrt(count/N)): half the rotation angle for a marked set of ``count``."""
+def half_angle(count, N):
+    """arcsin(sqrt(count/N)): half the rotation angle for a marked set of ``count``.
+
+    Elementwise on integer arrays, which the caller has validated: numpy
+    divides and takes the square root, both correctly rounded as in ``math``,
+    and asin comes from libm, one ``math.asin`` call per element, because
+    ``np.arcsin`` differs from it in the last bit on about one argument in ten.
+    """
+    if isinstance(count, np.ndarray):
+        return np.array([math.asin(x) for x in np.sqrt(count / N).tolist()])
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if count < 0 or count > N:
@@ -122,9 +131,21 @@ def half_angle(count: int, N: int) -> float:
 
 def angles_of(instance: ProblemInstance) -> GroverAngles:
     """Full rotation angles theta_M, theta_K and the ratio gamma = theta_K/theta_M."""
-    theta_M = 2.0 * half_angle(instance.M, instance.N)
-    theta_K = 2.0 * half_angle(instance.K, instance.N)
-    gamma = theta_K / theta_M if instance.M > 0 else None
+    return rotation_angles(instance.N, instance.M, instance.K)
+
+
+def rotation_angles(N, M, K) -> GroverAngles:
+    """``angles_of`` from the counts; elementwise on validated integer arrays.
+
+    On arrays the three fields are arrays, and gamma is NaN where M = 0, so
+    every comparison with it is false.
+    """
+    theta_M = 2.0 * half_angle(M, N)
+    theta_K = 2.0 * half_angle(K, N)
+    if isinstance(M, np.ndarray):
+        gamma = np.divide(theta_K, theta_M, out=np.full(M.shape, np.nan), where=M > 0)
+    else:
+        gamma = theta_K / theta_M if M > 0 else None
     return GroverAngles(theta_M=theta_M, theta_K=theta_K, gamma=gamma)
 
 

@@ -99,11 +99,16 @@ def default_horizon(instance: ProblemInstance) -> int:
     return horizon_for_bound(iteration_bound(instance).l_bound)
 
 
-def horizon_for_bound(l_bound: float) -> int:
-    """``default_horizon`` from an instance's already computed ``l_bound``."""
-    horizon = math.ceil(10.0 * l_bound)
+def horizon_for_bound(l_bound):
+    """``default_horizon`` from an instance's already computed ``l_bound``.
+
+    Elementwise on arrays, giving integral floats: every step is exact below
+    2**53, and a larger horizon is capped.
+    """
+    ceil, least = (np.ceil, np.minimum) if isinstance(l_bound, np.ndarray) else (math.ceil, min)
+    horizon = ceil(10.0 * l_bound)
     horizon += 1 - horizon % 2
-    return min(horizon, HORIZON_CAP)
+    return least(horizon, HORIZON_CAP)
 
 
 def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.ndarray:

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core_model import GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel
-from .transforms import IterationBounds, iteration_bound
+from .transforms import IterationBounds, applicability_flags, iteration_bound
 
 __all__ = [
     "Applicability",
@@ -133,12 +135,11 @@ def applicability_of(instance: ProblemInstance, angles: GroverAngles) -> Applica
             gamma_small_ok=False,
             epsilon_bound=None,
         )
-    excess = angles.gamma - 1.0
-    size_condition_ok = math.sqrt(instance.K) < 16.0 * excess**2 * math.sqrt(instance.N)
+    size_condition_ok, gamma_small_ok = applicability_flags(instance.N, instance.K, angles.gamma)
     return Applicability(
         ordering_ok=ordering_ok,
         size_condition_ok=size_condition_ok,
-        gamma_small_ok=excess <= 0.25,
+        gamma_small_ok=gamma_small_ok,
         epsilon_bound=2.0 * gamma_upper_bound(instance),
     )
 
@@ -158,14 +159,16 @@ def gamma_upper_bound(instance: ProblemInstance) -> float:
     return math.sqrt(2.0) * (math.sqrt(instance.K / instance.M) - 1.0)
 
 
-def nearest_odd(x: float) -> int:
+def nearest_odd(x):
     """Odd integer nearest to x; exact ties (x an even integer) break downward.
 
     The smaller odd neighbor means a smaller l = p*s, hence fewer oracle calls.
+    Elementwise on arrays, giving int64; every step is exact for |x| < 2**52.
     """
-    lower = 2 * math.floor((x - 1.0) / 2.0) + 1
-    upper = lower + 2
-    return lower if x - lower <= upper - x else upper
+    array = isinstance(x, np.ndarray)
+    lower = 2 * (np.floor if array else math.floor)((x - 1.0) / 2.0) + 1
+    odd = lower + 2 * (x - lower > lower + 2 - x)
+    return odd.astype(np.int64) if array else odd
 
 
 def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> StoppingRule:
@@ -188,21 +191,34 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
 def rule_of(angles: GroverAngles, bounds: IterationBounds) -> StoppingRule:
     """The best-effort rule from an instance's angles and bounds (M > 0)."""
     assert angles.gamma is not None
-    excess = angles.gamma - 1.0
-    p = nearest_odd(1.0 / (4.0 * excess))
-    s = nearest_odd(4.0 * math.pi / angles.theta_M)
-    l = p * s
-    four_pi = 4.0 * math.pi
+    p, s, l, residual_K, residual_M = rule_terms(angles)
     return StoppingRule(
         p=p,
         s=s,
         l=l,
         m=(l - 1) // 2,
-        residual_K=abs(l * angles.theta_K / four_pi - p - 0.25),
-        residual_M=abs(l * angles.theta_M / four_pi - p),
+        residual_K=residual_K,
+        residual_M=residual_M,
         l_bound=bounds.l_bound,
         m_bound=bounds.m_bound,
     )
+
+
+def rule_terms(angles: GroverAngles):
+    """(p, s, l, residual_K, residual_M) of the best-effort rule, for M > 0.
+
+    Elementwise when the angles hold arrays, with int64 p, s and l.  Inside
+    the envelope l stays below 2**50, so it converts to a double exactly, as a
+    Python int does.
+    """
+    excess = angles.gamma - 1.0
+    p = nearest_odd(1.0 / (4.0 * excess))
+    s = nearest_odd(4.0 * math.pi / angles.theta_M)
+    l = p * s
+    four_pi = 4.0 * math.pi
+    residual_K = abs(l * angles.theta_K / four_pi - p - 0.25)
+    residual_M = abs(l * angles.theta_M / four_pi - p)
+    return p, s, l, residual_K, residual_M
 
 
 def certify(
@@ -224,20 +240,40 @@ def certificate_of(
     """``certify`` with the instance's angles already computed."""
     if angles.gamma is None:
         raise DegenerateM("cannot certify against an instance with M = 0")
-    excess = angles.gamma - 1.0
     bound = error_bound(epsilon)
+    flags = certificate_flags(
+        rule.l, rule.residual_K, rule.residual_M, angles.gamma, rule.l_bound, epsilon
+    )
     # An even l is a malformed rule; l_odd reports it, so no warning here.
     fail_K, fail_M = failure_kernel(rule.l, angles)
+    fail_K_ok, fail_M_ok = error_flags(fail_K, fail_M, bound)
     return CertificateReport(
         epsilon=epsilon,
         error_bound=bound,
         fail_K=fail_K,
         fail_M=fail_M,
-        l_odd=rule.l % 2 == 1,
-        residual_K_ok=rule.residual_K < 2.0 * excess,
-        residual_M_ok=rule.residual_M < excess,
-        epsilon_covers_gamma=2.0 * excess <= epsilon,
-        fail_K_ok=fail_K < bound,
-        fail_M_ok=fail_M < bound,
-        l_within_bound=rule.l <= rule.l_bound,
+        fail_K_ok=fail_K_ok,
+        fail_M_ok=fail_M_ok,
+        **flags,
     )
+
+
+def certificate_flags(l, residual_K, residual_M, gamma, l_bound, epsilon) -> dict:
+    """The certificate's flags that need no trig, by ``CertificateReport`` field.
+
+    Elementwise on arrays, so a column of rules skips the trig of every rule
+    that one of these flags already fails.
+    """
+    excess = gamma - 1.0
+    return {
+        "l_odd": l % 2 == 1,
+        "residual_K_ok": residual_K < 2.0 * excess,
+        "residual_M_ok": residual_M < excess,
+        "epsilon_covers_gamma": 2.0 * excess <= epsilon,
+        "l_within_bound": l <= l_bound,
+    }
+
+
+def error_flags(fail_K, fail_M, bound):
+    """(fail_K_ok, fail_M_ok): each failure probability below the error bound."""
+    return fail_K < bound, fail_M < bound

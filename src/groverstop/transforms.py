@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core_model import ProblemInstance, angles_of, error_bound, make_instance
 
 __all__ = [
@@ -23,6 +25,8 @@ __all__ = [
     "reduce_common_divisor",
     "pad_for_ratio",
     "iteration_bound",
+    "applicability_flags",
+    "l_bound_of",
 ]
 
 
@@ -37,7 +41,7 @@ class PaddedInstance:
     The certification fields record the chain that makes the padded triple
     applicable: gamma' - 1 is at least sqrt((r+a)/(r+1)) - 1, and under the
     premise sqrt(M/N) < (2*epsilon/3)^2 the padded triple passes the size
-    condition sqrt(K'/N') < 16*(gamma'-1)^2.
+    condition sqrt(K') < 16*(gamma'-1)^2*sqrt(N').
     """
 
     r: int
@@ -48,7 +52,7 @@ class PaddedInstance:
     gamma_prime: float
     gamma_prime_lower: float  # sqrt((r+a)/(r+1)) - 1
     gamma_gap_ok: bool  # gamma' - 1 >= gamma_prime_lower
-    size_condition_ok: bool  # sqrt(K'/N') < 16*(gamma'-1)^2
+    size_condition_ok: bool  # sqrt(K') < 16*(gamma'-1)^2*sqrt(N')
     m_bound_padded: float  # 2*sqrt(N')/(sqrt(K')-sqrt(M'))
 
     @property
@@ -123,6 +127,7 @@ def pad_for_ratio(
     assert angles.gamma is not None
     excess = angles.gamma - 1.0
     gamma_prime_lower = math.sqrt((r + a) / (r + 1.0)) - 1.0
+    size_condition_ok, _ = applicability_flags(N_prime, K_prime, angles.gamma)
     return PaddedInstance(
         r=r,
         M_prime=M_prime,
@@ -132,16 +137,38 @@ def pad_for_ratio(
         gamma_prime=angles.gamma,
         gamma_prime_lower=gamma_prime_lower,
         gamma_gap_ok=excess >= gamma_prime_lower,
-        size_condition_ok=math.sqrt(K_prime / N_prime) < 16.0 * excess**2,
+        size_condition_ok=size_condition_ok,
         m_bound_padded=iteration_bound(padded).m_bound,
     )
 
 
+def applicability_flags(N, K, gamma):
+    """(size_condition_ok, gamma_small_ok) for gamma > 0; elementwise on arrays.
+
+    The size condition is sqrt(K) < 16*(gamma-1)^2*sqrt(N).  Its square is a
+    multiplication: ``x**2`` calls libm ``pow``, which is not correctly
+    rounded, and numpy arrays square by multiplication.  A NaN gamma (M = 0
+    in a column) fails both flags.
+    """
+    sqrt = np.sqrt if isinstance(N, np.ndarray) else math.sqrt
+    excess = gamma - 1.0
+    return sqrt(K) < 16.0 * (excess * excess) * sqrt(N), excess <= 0.25
+
+
+def l_bound_of(N, M, K):
+    """4*sqrt(N)/(sqrt(K)-sqrt(M)), the bound on l; elementwise on arrays."""
+    sqrt = np.sqrt if isinstance(N, np.ndarray) else math.sqrt
+    return 4.0 * sqrt(N) / (sqrt(K) - sqrt(M))
+
+
 def iteration_bound(instance: ProblemInstance) -> IterationBounds:
-    """Closed-form bounds on m and l, with the K = M+1 special forms when they apply."""
-    gap = math.sqrt(instance.K) - math.sqrt(instance.M)
-    root_n = math.sqrt(instance.N)
-    bounds = IterationBounds(m_bound=2.0 * root_n / gap, l_bound=4.0 * root_n / gap)
+    """Closed-form bounds on m and l, with the K = M+1 special forms when they apply.
+
+    m_bound is l_bound / 2, which equals 2*sqrt(N)/(sqrt(K)-sqrt(M)) exactly:
+    scaling by 2 commutes with rounding.
+    """
+    l_bound = l_bound_of(instance.N, instance.M, instance.K)
+    bounds = IterationBounds(m_bound=l_bound / 2.0, l_bound=l_bound)
     if instance.K == instance.M + 1 and instance.M >= 1:
         premise = math.sqrt((instance.M + 1) / instance.N) < (4.0 / (3.0 * instance.M)) ** 2
         bounds = IterationBounds(

@@ -4,22 +4,30 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from groverstop import (
     angles_of,
     certify,
+    check_applicability,
     cli,
     construct_rule,
+    core_model,
+    default_horizon,
+    diophantine,
+    error_bound,
     failure_probabilities,
     iteration_bound,
     make_instance,
+    minimal_odd_l,
     stopping_rule,
+    transforms,
 )
-from groverstop.cli import TABLE_FIELDS, _csv_cell, _csv_text, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, TableRow, _csv_text, build_table_rows, main
 
 
 def run_cli(capsys, *argv):
@@ -179,19 +187,31 @@ class TestTableCommand:
         assert code == 1
 
     def test_csv_matches_csv_writer(self):
-        fields = ["a", "b_c", "d", "e"]
+        columns = [("a", float), ("b_c", bool), ("d", int), ("e", float)]
         rows = [
             (None, True, 0, math.inf),
             (-0.0, False, -7, -math.inf),
             (1e-300, None, 2**60, 0.1),
-            (math.nan, 3, None, -1.5e17),
+            (math.nan, True, None, -1.5e17),
+            (1.0, False, 1, 0.0),  # numbers equal to True and False
+            (None, None, None, None),
         ]
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return format(value, ".17g")
+            return str(value)
+
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(fields)
+        writer.writerow([name for name, _ in columns])
         for row in rows:
-            writer.writerow([_csv_cell(value) for value in row])
-        assert _csv_text(fields, rows) == reference.getvalue()
+            writer.writerow([cell(value) for value in row])
+        assert _csv_text(columns, rows) == reference.getvalue()
 
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
@@ -425,6 +445,15 @@ class TestBadInputIsExitOne:
         )
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("N", [2**48 + 1, 2**70])
+    def test_table_N_beyond_envelope(self, capsys, tmp_path, N):
+        triples = tmp_path / "triples.txt"
+        triples.write_text(f"{N} 1 2\n")
+        code = main(["table", "--triples", str(triples)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "exceeds the float64 envelope 2**48" in captured.err
+
     # The grids below hold no valid triple, so a bad flag is the only error.
     @pytest.mark.parametrize(
         "flag, value", [("--epsilon", "2"), ("--epsilon", "nan"), ("--horizon", "-3"),
@@ -516,24 +545,147 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
-class TestScalarWorkOncePerRow:
-    GRID = ["--N-range", "1024:4096:1024", "--M-range", "0:64:8", "--K-range", "6:96:6"]
+@st.composite
+def _table_cases(draw):
+    """(triples, epsilon, horizon): random triples in the float64 envelope.
 
-    @pytest.mark.parametrize("function", [angles_of, iteration_bound], ids=lambda f: f.__name__)
-    def test_table_row_computes_it_once(self, monkeypatch, capsys, function):
-        calls = _count_calls(monkeypatch, function)
+    Each triple is of one kind: any, M = 0, K = M+1, K >= N/2, or K/M near 1
+    with K small enough that the rule may certify.  Without --horizon a
+    triple's scan may run to 10^8, so the largest N come with a short one.
+    """
+    triples = []
+    for _ in range(draw(st.integers(1, 6))):
+        N = draw(st.integers(1, 2 ** draw(st.integers(0, 48))))
+        kind = draw(st.sampled_from(["any", "zero", "successor", "half", "near"]))
+        if kind == "near" and N >= 2**12:
+            excess = draw(st.floats(0.02, 0.04))
+            K = draw(st.integers(2, max(3, math.floor(256.0 * excess**4 * N))))
+            M = min(K - 1, max(1, round(K / (1.0 + excess) ** 2)))
+        elif kind == "successor" and N >= 2:
+            M = draw(st.integers(1, N - 1))
+            K = M + 1
+        elif kind == "half":
+            K = draw(st.integers((N + 1) // 2, N))
+            M = draw(st.integers(0, K - 1))
+        else:
+            K = draw(st.integers(1, N))
+            M = 0 if kind == "zero" else draw(st.integers(0, K - 1))
+        triples.append((N, M, K))
+    epsilon = draw(st.sampled_from([1.0 / 12.0, 0.02, 0.2]))
+    if max(N for N, _, _ in triples) > 2**32:
+        horizon = draw(st.integers(1, 50001))
+    else:
+        horizon = draw(st.none() | st.integers(1, 50001))
+    return triples, epsilon, horizon
+
+
+def _reference_row(N, M, K, epsilon, horizon):
+    """A table row from the instance-level functions, one triple at a time."""
+    instance = make_instance(N, M, K)
+    angles = angles_of(instance)
+    l_bound = iteration_bound(instance).l_bound
+    row = TableRow(
+        N, M, K, angles.theta_M, angles.theta_K, angles.gamma,
+        check_applicability(instance).all_ok, None, None, None, None, l_bound, None, None,
+    )
+    scan_horizon = default_horizon(instance) if horizon is None else horizon
+    if M > 0:
+        rule = construct_rule(instance, best_effort=True)
+        certificate = certify(rule, instance, epsilon)
+        if certificate.certified:
+            row.p, row.s, row.l_constructive = rule.p, rule.s, rule.l
+            row.fail_K, row.fail_M = certificate.fail_K, certificate.fail_M
+            scan_horizon = max(scan_horizon, rule.l)
+    search = minimal_odd_l(angles, error_bound(epsilon), scan_horizon)
+    if search.found:
+        row.l_minimal, row.fail_K, row.fail_M = search.l, search.fail_K, search.fail_M
+    return row
+
+
+def _bits(row):
+    """Each cell's type and repr: equal only for the same value, bit for bit."""
+    return [(type(value), repr(value)) for value in astuple(row)]
+
+
+class TestColumnarTable:
+    GRID = ["--N-range", "1024:4096:1024", "--M-range", "0:64:8", "--K-range", "6:96:6"]
+    PER_INSTANCE = [
+        angles_of, iteration_bound, check_applicability, stopping_rule.applicability_of,
+        construct_rule, stopping_rule.rule_of, certify, stopping_rule.certificate_of,
+        default_horizon, minimal_odd_l,
+    ]
+    KERNELS = [
+        core_model.half_angle, core_model.rotation_angles, transforms.l_bound_of,
+        transforms.applicability_flags, stopping_rule.nearest_odd, stopping_rule.rule_terms,
+        stopping_rule.certificate_flags, stopping_rule.error_flags,
+        diophantine.horizon_for_bound, diophantine.scan_rows,
+    ]
+    TRIG_FREE_FLAGS = [
+        "l_odd", "residual_K_ok", "residual_M_ok", "epsilon_covers_gamma", "l_within_bound",
+    ]
+
+    def test_table_makes_no_per_row_scalar_calls(self, monkeypatch, capsys):
         code, out = run_cli(capsys, "table", *self.GRID)
+        triples = [tuple(map(int, line.split(",")[:3])) for line in out.splitlines()[1:]]
+        assert code == 0 and len(triples) > 100
+        # cos and sin run once for each rule that passes every other flag.
+        trig_rows = 0
+        for N, M, K in triples:
+            if M > 0:
+                instance = make_instance(N, M, K)
+                report = certify(construct_rule(instance, best_effort=True), instance)
+                trig_rows += all(getattr(report, flag) for flag in self.TRIG_FREE_FLAGS)
+        assert 0 < trig_rows < len(triples)
+        per_instance = {f.__name__: _count_calls(monkeypatch, f) for f in self.PER_INSTANCE}
+        kernels = {f.__name__: _count_calls(monkeypatch, f) for f in self.KERNELS}
+        failure_calls = _count_calls(monkeypatch, core_model.failure_kernel)
+        assert run_cli(capsys, "table", *self.GRID) == (code, out)
+        assert {name: len(calls) for name, calls in per_instance.items()} == dict.fromkeys(
+            per_instance, 0
+        )
+        assert {name: len(calls) for name, calls in kernels.items()} == {
+            "half_angle": 2, "rotation_angles": 1, "l_bound_of": 1, "applicability_flags": 1,
+            "nearest_odd": 2, "rule_terms": 1, "certificate_flags": 1, "error_flags": 1,
+            "horizon_for_bound": 1, "scan_rows": 1,
+        }
+        scalar_l = [args for args in failure_calls if not isinstance(args[0], np.ndarray)]
+        assert len(scalar_l) == trig_rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(_table_cases())
+    @example(([(65536, 12, 13), (2**48, 2**47 - 1, 2**47), (4, 0, 1), (2, 1, 2)], 1.0 / 12.0, None))
+    def test_rows_equal_the_instance_level_rows(self, case):
+        triples, epsilon, horizon = case
+        rows = build_table_rows(triples, epsilon, horizon)
+        expected = [_reference_row(*triple, epsilon, horizon) for triple in triples]
+        assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+
+
+class TestScalarWorkOncePerRow:
+    @pytest.mark.parametrize(
+        "function, column",
+        [(angles_of, core_model.rotation_angles), (iteration_bound, transforms.l_bound_of)],
+        ids=["angles_of", "iteration_bound"],
+    )
+    def test_table_row_computes_it_once(self, monkeypatch, capsys, function, column):
+        per_row = _count_calls(monkeypatch, function)
+        columns = _count_calls(monkeypatch, column)
+        code, out = run_cli(capsys, "table", *TestColumnarTable.GRID)
         rows = len(out.splitlines()) - 1
-        assert code == 0 and rows > 100
-        assert len(calls) == rows
+        assert code == 0 and rows > 100 and per_row == []
+        # One column call, one value for each row.
+        assert [np.shape(args[0]) for args in columns] == [(rows,)]
 
     def test_diagnose_computes_angles_once_per_pair(self, monkeypatch, capsys):
-        calls = _count_calls(monkeypatch, angles_of)
+        per_pair = _count_calls(monkeypatch, angles_of)
+        columns = _count_calls(monkeypatch, core_model.rotation_angles)
         code, out = run_cli(
             capsys, "diagnose", "--N", "256", "--M-range", "0:8", "--K-range", "1:16",
             "--threshold", "0.0",  # lists every pair
         )
-        assert code == 0 and len(calls) == len(json.loads(out)) > 50
+        pairs = len(json.loads(out))
+        assert code == 0 and pairs > 50 and per_pair == []
+        assert [M.size for _, M, _ in columns] == [pairs]  # one column call, one angle each
 
     @pytest.mark.parametrize("flag", [[], ["--best-effort"]])
     def test_rule_checks_applicability_once(self, monkeypatch, capsys, flag):

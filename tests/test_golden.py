@@ -255,6 +255,37 @@ def test_array_trig_equals_libm():
         )
 
 
+# Triples at the float64 envelope N = 2**48, in this order: K = M+1 with
+# l_bound up to 2**51, K = N, a null gamma, and the smallest N.  Recorded
+# before the table's columns were computed across all rows at once.
+ENVELOPE_EDGE_TRIPLES = [
+    (2**48, 2**40, 2**40 + 1),
+    (2**48, 1, 2),
+    (2**48, 0, 1),
+    (2**48, 2**47 - 1, 2**47),
+    (2**48, 2**48 - 1, 2**48),
+    (3, 1, 2),
+    (1, 0, 1),
+    (2, 0, 1),
+    (2**48, 2**45, 2**45 + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "f834c90fdcff35e6fa8c07adb39cff48ab79f9bd68411c2ab8cd28159de46d01"),
+        ("json", "acd81bec17503e76e2f947ac4ef22618a7e6607eeb525a97575fb2478105fc66"),
+    ],
+)
+def test_golden_envelope_edge_table(capsys, tmp_path, fmt, digest):
+    triples = tmp_path / "edge.triples"
+    triples.write_text("".join(f"{N} {M} {K}\n" for N, M, K in ENVELOPE_EDGE_TRIPLES))
+    assert main(["table", "--triples", str(triples), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
