@@ -45,13 +45,11 @@ from .stopping_rule import (
     DEFAULT_EPSILON,
     GammaTooLarge,
     NotApplicable,
-    certificate_flags,
+    certified_rules,
     certify,
     check_applicability,
     construct_rule,
-    error_flags,
     require_applicable,
-    rule_terms,
 )
 from .transforms import (
     PremiseViolated,
@@ -239,15 +237,16 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def build_table_rows(
     triples: Iterable[tuple[int, int, int]], epsilon: float, horizon: int | None = None
-) -> list[TableRow]:
-    """Table rows: the failure pair the scan found at l_minimal, else the certified rule's.
+) -> list[tuple]:
+    """Table rows, as tuples in ``TABLE_FIELDS`` order.
 
     Each triple is validated by ``make_instance``.  Then each column is
     computed across all rows at once, by the elementwise formulas that the
     instance-level functions call, and the scans of all rows run together.
     The transcendentals come from libm, one call per row: asin for the
     angles, and cos and sin for the rules that pass every other certificate
-    flag.
+    flag.  The failure pair is the array ``failure_kernel``'s at l_minimal,
+    else the certified rule's.
     """
     # Flat, so the tuples die one at a time: CPython keeps up to 2000 freed
     # tuples of each size, and a list of them all would fill that free list
@@ -263,15 +262,17 @@ def build_table_rows(
         *applicability_flags(N, K, angles.gamma)
     )
     ruled = np.flatnonzero(M > 0)
-    at, p, s, l, fails = _certified_rules(ruled, angles, l_bound, epsilon, bound)
-    horizons = [horizon] * n if horizon is not None else horizon_for_bound(l_bound).tolist()
-    for i, l_i in zip(at.tolist(), l.tolist()):
-        horizons[i] = max(horizons[i], l_i)
-    found, _, scan_fail_K, scan_fail_M = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
+    at, p, s, l, fails = certified_rules(ruled, angles, l_bound, epsilon)
+    horizons = horizon_for_bound(l_bound) if horizon is None else np.full(n, horizon)
+    horizons[at] = np.maximum(horizons[at], l)
+    found, _ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
     hits = np.flatnonzero(found)
     fail_K, fail_M = np.full(n, np.nan), np.full(n, np.nan)
     fail_K[at], fail_M[at] = fails.T
-    fail_K[hits], fail_M[hits] = scan_fail_K[hits], scan_fail_M[hits]
+    fail_K[hits], fail_M[hits] = failure_kernel(
+        found[hits],
+        GroverAngles(theta_M=angles.theta_M[hits], theta_K=angles.theta_K[hits], gamma=None),
+    )
     paired = np.flatnonzero(~np.isnan(fail_K))
     columns = [
         N, M, K, angles.theta_M, angles.theta_K, _cells(n, ruled, angles.gamma[ruled]),
@@ -279,7 +280,7 @@ def build_table_rows(
         _cells(n, hits, found[hits]), l_bound,
         _cells(n, paired, fail_K[paired]), _cells(n, paired, fail_M[paired]),
     ]
-    return list(map(TableRow, *[column.tolist() for column in columns]))
+    return list(zip(*[column.tolist() for column in columns]))
 
 
 _COUNTS = attrgetter("N", "M", "K", "strict_regime")
@@ -290,33 +291,6 @@ def _cells(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     column = np.full(n, None, dtype=object)
     column[rows] = values
     return column
-
-
-def _certified_rules(ruled, angles, l_bound, epsilon, bound):
-    """(rows, p, s, l, failure pairs) of the certified rules among the given rows.
-
-    The rows must have M > 0.  The failure pair, from libm, is computed only
-    for the rules that pass every other certificate flag.
-    """
-    angles = GroverAngles(
-        theta_M=angles.theta_M[ruled], theta_K=angles.theta_K[ruled], gamma=angles.gamma[ruled]
-    )
-    p, s, l, residual_K, residual_M = rule_terms(angles)
-    flags = certificate_flags(l, residual_K, residual_M, angles.gamma, l_bound[ruled], epsilon)
-    ready = np.flatnonzero(np.logical_and.reduce(list(flags.values())))
-    # Each pair is taken apart as it comes, so no list of tuples builds up.
-    fails = np.fromiter(
-        chain.from_iterable(
-            failure_kernel(l_i, GroverAngles(theta_M=t_M, theta_K=t_K, gamma=None))
-            for l_i, t_M, t_K in zip(
-                l[ready].tolist(), angles.theta_M[ready].tolist(), angles.theta_K[ready].tolist()
-            )
-        ),
-        dtype=np.float64,
-    ).reshape(-1, 2)
-    passed = np.logical_and(*error_flags(fails[:, 0], fails[:, 1], bound))
-    certified = ready[passed]
-    return ruled[certified], p[certified], s[certified], l[certified], fails[passed]
 
 
 def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
@@ -366,9 +340,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_horizon(args.horizon)
     rows = build_table_rows(_table_triples(args), args.epsilon, args.horizon)
     if args.format == "json":
-        _emit(_json_dump([asdict(row) for row in rows]), args.out)
+        _emit(_json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows]), args.out)
     else:
-        _emit(_csv_text(_TABLE_COLUMNS, map(attrgetter(*TABLE_FIELDS), rows)), args.out)
+        _emit(_csv_text(_TABLE_COLUMNS, rows), args.out)
     return EXIT_OK
 
 
@@ -429,7 +403,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         horizons = [args.horizon] * M.size
     else:
         horizons = horizon_for_bound(l_bounds).astype(np.int64).tolist()
-    found, *_ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
+    found, _ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
     entries = []
     for m, k, l, horizon, l_bound in zip(
         M.tolist(), K.tolist(), found.tolist(), horizons, l_bounds.tolist()

@@ -56,7 +56,7 @@ SearchMode = Literal["relaxed", "strict"]
 SCAN_CHUNK = 1 << 16  # widest chunk of l, and most scores a scan holds at once
 _FIRST_CHUNK = 1 << 8
 HORIZON_CAP = 10**8 - 1  # largest odd default horizon
-_L_EXACT = 1 << 53  # odd l beyond this are not exact doubles: no scan gets there
+_L_EXACT = 2.0**53  # odd l beyond this are not exact doubles: no scan gets there
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,12 @@ def _block_hits(ls, theta_K, theta_M, horizons, threshold, mode, work):
 def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "relaxed"):
     """Smallest odd l <= horizon within the threshold, for each row.
 
-    Row i has angles (theta_K[i], theta_M[i]) and horizon horizons[i] (an
-    int).  Returns four arrays: each row's l, 0 where none was found, and its
-    score, fail_K and fail_M at that l, NaN where none was found.  The pair
-    comes from one array ``failure_kernel`` call after the scan, the kernel
-    a relaxed scan decides with, so a relaxed score is the pair's maximum.
+    Row i has angles (theta_K[i], theta_M[i]) and horizon horizons[i], from a
+    list of ints or an array; a horizon past 2**53 scans to 2**53.  Returns
+    two arrays: each row's l, 0 where none was found, and its score at that
+    l, NaN where none was found.  Callers that print a hit's failure pair
+    take it from the array ``failure_kernel``, which a relaxed scan decides
+    with, so a relaxed score is the pair's maximum.
 
     Every round scores one chunk of odd l for each row still scanning: the
     first chunk holds _FIRST_CHUNK values, and each next one twice as many,
@@ -214,7 +215,8 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     theta_K = np.asarray(theta_K, dtype=np.float64)
     theta_M = np.asarray(theta_M, dtype=np.float64)
-    horizons = np.array([min(h, _L_EXACT) for h in horizons], dtype=np.float64)
+    # Capped before the conversion, so an int horizon past the double range is too.
+    horizons = np.minimum(np.asarray(horizons), _L_EXACT).astype(np.float64)
     if horizons.size and horizons.min() < 1:
         raise ValueError(f"horizon must be >= 1, got {horizons.min():.0f}")
     found_l = np.zeros(horizons.size, dtype=np.int64)
@@ -237,11 +239,7 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
             start += 2 * width
             active = active[(found_l[active] == 0) & (horizons[active] >= start)]
             width, done = min(2 * width, SCAN_CHUNK), 0
-    fail_K, fail_M = np.full(horizons.size, np.nan), np.full(horizons.size, np.nan)
-    hit = found_l > 0
-    angles = GroverAngles(theta_M=theta_M[hit], theta_K=theta_K[hit], gamma=None)
-    fail_K[hit], fail_M[hit] = failure_kernel(found_l[hit].astype(np.float64), angles)
-    return found_l, found_score, fail_K, fail_M
+    return found_l, found_score
 
 
 def minimal_odd_l(
@@ -253,11 +251,15 @@ def minimal_odd_l(
     """Smallest odd l <= horizon whose score is within the threshold.
 
     Not finding one is a result, not an error: the report then records that
-    every odd l up to the horizon was scanned.  The one-row ``scan_rows``.
+    every odd l up to the horizon was scanned.  The one-row ``scan_rows``,
+    with a hit's failure pair from the array ``failure_kernel``.
     """
-    (l,), *values = scan_rows([angles.theta_K], [angles.theta_M], threshold, [horizon], mode)
+    (l,), scores = scan_rows([angles.theta_K], [angles.theta_M], threshold, [horizon], mode)
     l = int(l) or None
-    score, fail_K, fail_M = (float(v) if l else None for (v,) in values)
+    score = fail_K = fail_M = None
+    if l:
+        pair = failure_kernel(np.array([l]), angles)
+        score, fail_K, fail_M = (float(v) for (v,) in (scores, *pair))
     return SearchReport(
         found=l is not None,
         l=l,

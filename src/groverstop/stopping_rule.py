@@ -10,7 +10,9 @@ count l = p*s with
 
 where p is the nearest odd integer to 1/(4*(gamma-1)) and s the nearest odd
 integer to 4*pi/theta_M.  This module builds that rule and certifies the
-inequalities numerically.  All inequality checks are exact floating-point
+inequalities numerically, for one instance (``construct_rule``, ``certify``)
+or a column of them (``certified_rules``) with the same elementwise
+formulas.  All inequality checks are exact floating-point
 comparisons: the bounds have real slack at desk scale and hidden tolerances
 would mask regressions.
 """
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .core_model import GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel
-from .transforms import IterationBounds, applicability_flags, iteration_bound
+from .transforms import applicability_flags, iteration_bound
 
 __all__ = [
     "Applicability",
@@ -122,20 +125,16 @@ class CertificateReport:
 
 def check_applicability(instance: ProblemInstance) -> Applicability:
     """Evaluate every precondition flag of the constructive rule; never raises."""
-    return applicability_of(instance, angles_of(instance))
-
-
-def applicability_of(instance: ProblemInstance, angles: GroverAngles) -> Applicability:
-    """``check_applicability`` with the instance's angles already computed."""
     ordering_ok = instance.strict_regime
-    if angles.gamma is None:
+    gamma = angles_of(instance).gamma
+    if gamma is None:
         return Applicability(
             ordering_ok=ordering_ok,
             size_condition_ok=False,
             gamma_small_ok=False,
             epsilon_bound=None,
         )
-    size_condition_ok, gamma_small_ok = applicability_flags(instance.N, instance.K, angles.gamma)
+    size_condition_ok, gamma_small_ok = applicability_flags(instance.N, instance.K, gamma)
     return Applicability(
         ordering_ok=ordering_ok,
         size_condition_ok=size_condition_ok,
@@ -182,16 +181,10 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
         raise DegenerateM(
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
-    angles = angles_of(instance)
     if not best_effort:
-        require_applicable(applicability_of(instance, angles))
-    return rule_of(angles, iteration_bound(instance))
-
-
-def rule_of(angles: GroverAngles, bounds: IterationBounds) -> StoppingRule:
-    """The best-effort rule from an instance's angles and bounds (M > 0)."""
-    assert angles.gamma is not None
-    p, s, l, residual_K, residual_M = rule_terms(angles)
+        require_applicable(check_applicability(instance))
+    bounds = iteration_bound(instance)
+    p, s, l, residual_K, residual_M = rule_terms(angles_of(instance))
     return StoppingRule(
         p=p,
         s=s,
@@ -231,13 +224,7 @@ def certify(
     Purely a reporting operation; a rule that fails some check still yields a
     report with the corresponding flags false.
     """
-    return certificate_of(rule, angles_of(instance), epsilon)
-
-
-def certificate_of(
-    rule: StoppingRule, angles: GroverAngles, epsilon: float = DEFAULT_EPSILON
-) -> CertificateReport:
-    """``certify`` with the instance's angles already computed."""
+    angles = angles_of(instance)
     if angles.gamma is None:
         raise DegenerateM("cannot certify against an instance with M = 0")
     bound = error_bound(epsilon)
@@ -277,3 +264,32 @@ def certificate_flags(l, residual_K, residual_M, gamma, l_bound, epsilon) -> dic
 def error_flags(fail_K, fail_M, bound):
     """(fail_K_ok, fail_M_ok): each failure probability below the error bound."""
     return fail_K < bound, fail_M < bound
+
+
+def certified_rules(rows, angles: GroverAngles, l_bound, epsilon: float):
+    """(rows, p, s, l, failure pairs) of the certified rules among the given rows.
+
+    ``construct_rule(best_effort=True)`` and ``certify`` over columns of
+    angles and l_bound, for the given rows, which must have M > 0.  The
+    failure pair comes from libm, as in ``certify``, and only for the rules
+    that pass every flag that needs no trig.
+    """
+    angles = GroverAngles(
+        theta_M=angles.theta_M[rows], theta_K=angles.theta_K[rows], gamma=angles.gamma[rows]
+    )
+    p, s, l, residual_K, residual_M = rule_terms(angles)
+    flags = certificate_flags(l, residual_K, residual_M, angles.gamma, l_bound[rows], epsilon)
+    ready = np.flatnonzero(np.logical_and.reduce(list(flags.values())))
+    # Each pair is taken apart as it comes, so no list of tuples builds up.
+    fails = np.fromiter(
+        chain.from_iterable(
+            failure_kernel(l_i, GroverAngles(theta_M=t_M, theta_K=t_K, gamma=None))
+            for l_i, t_M, t_K in zip(
+                l[ready].tolist(), angles.theta_M[ready].tolist(), angles.theta_K[ready].tolist()
+            )
+        ),
+        dtype=np.float64,
+    ).reshape(-1, 2)
+    passed = np.logical_and(*error_flags(fails[:, 0], fails[:, 1], error_bound(epsilon)))
+    certified = ready[passed]
+    return rows[certified], p[certified], s[certified], l[certified], fails[passed]

@@ -30,7 +30,7 @@ from groverstop import (
     simulate,
     state_after,
 )
-from groverstop.cli import TABLE_FIELDS, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, TableRow, build_table_rows, main
 
 QUARTER = math.sin(2 * math.pi / 12) ** 2  # = 1/4, the eps = 1/12 threshold
 
@@ -254,7 +254,7 @@ def test_criterion_9_invariance_suite(capsys, tmp_path):
     lines = out.splitlines()
     for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 0, 5), (4096, 32, 48)]):
         parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-        row = build_table_rows([(n, m, k)], 1.0 / 12.0)[0]
+        row = TableRow(*build_table_rows([(n, m, k)], 1.0 / 12.0)[0])
         for field, value in asdict(row).items():
             cell = parsed[field]
             if value is None:

@@ -145,7 +145,7 @@ class TestTableCommand:
         lines = out.splitlines()
         for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 32, 48)]):
             parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-            row = build_table_rows([(n, m, k)], 1.0 / 12.0)[0]
+            row = TableRow(*build_table_rows([(n, m, k)], 1.0 / 12.0)[0])
             for field, value in asdict(row).items():
                 cell = parsed[field]
                 if value is None:
@@ -216,11 +216,10 @@ class TestTableCommand:
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
         def missed(theta_K, theta_M, threshold, horizons, mode="relaxed"):
-            nan = np.full(len(horizons), np.nan)
-            return np.zeros(len(horizons), dtype=np.int64), nan, nan, nan
+            return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
 
         monkeypatch.setattr(cli, "scan_rows", missed)
-        row = build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0]
+        row = TableRow(*build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0])
         instance = make_instance(65536, 12, 13)
         rule = construct_rule(instance)
         cert = certify(rule, instance, 1.0 / 12.0)
@@ -610,15 +609,14 @@ def _bits(row):
 class TestColumnarTable:
     GRID = ["--N-range", "1024:4096:1024", "--M-range", "0:64:8", "--K-range", "6:96:6"]
     PER_INSTANCE = [
-        angles_of, iteration_bound, check_applicability, stopping_rule.applicability_of,
-        construct_rule, stopping_rule.rule_of, certify, stopping_rule.certificate_of,
+        angles_of, iteration_bound, check_applicability, construct_rule, certify,
         default_horizon, minimal_odd_l,
     ]
     KERNELS = [
         core_model.half_angle, core_model.rotation_angles, transforms.l_bound_of,
         transforms.applicability_flags, stopping_rule.nearest_odd, stopping_rule.rule_terms,
         stopping_rule.certificate_flags, stopping_rule.error_flags,
-        diophantine.horizon_for_bound, diophantine.scan_rows,
+        stopping_rule.certified_rules, diophantine.horizon_for_bound, diophantine.scan_rows,
     ]
     TRIG_FREE_FLAGS = [
         "l_odd", "residual_K_ok", "residual_M_ok", "epsilon_covers_gamma", "l_within_bound",
@@ -646,7 +644,7 @@ class TestColumnarTable:
         assert {name: len(calls) for name, calls in kernels.items()} == {
             "half_angle": 2, "rotation_angles": 1, "l_bound_of": 1, "applicability_flags": 1,
             "nearest_odd": 2, "rule_terms": 1, "certificate_flags": 1, "error_flags": 1,
-            "horizon_for_bound": 1, "scan_rows": 1,
+            "certified_rules": 1, "horizon_for_bound": 1, "scan_rows": 1,
         }
         scalar_l = [args for args in failure_calls if not isinstance(args[0], np.ndarray)]
         assert len(scalar_l) == trig_rows
@@ -658,7 +656,7 @@ class TestColumnarTable:
         triples, epsilon, horizon = case
         rows = build_table_rows(triples, epsilon, horizon)
         expected = [_reference_row(*triple, epsilon, horizon) for triple in triples]
-        assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+        assert [_bits(TableRow(*row)) for row in rows] == [_bits(row) for row in expected]
 
 
 class TestScalarWorkOncePerRow:
@@ -687,10 +685,22 @@ class TestScalarWorkOncePerRow:
         assert code == 0 and pairs > 50 and per_pair == []
         assert [M.size for _, M, _ in columns] == [pairs]  # one column call, one angle each
 
+    def test_diagnose_computes_no_failure_pair(self, monkeypatch, capsys):
+        # The README command: its entries hold no failure pair, so the kernel
+        # runs only to score the l the scan's filter keeps.
+        scorings = _count_calls(monkeypatch, diophantine._chunk_scores)
+        kernel_calls = _count_calls(monkeypatch, core_model.failure_kernel)
+        code, out = run_cli(
+            capsys, "diagnose", "--N", "4096", "--M-range", "1:64", "--K-range", "2:128",
+            "--threshold", "2.0",
+        )
+        assert code == 0 and json.loads(out) and scorings
+        assert len(kernel_calls) == len(scorings)
+
     @pytest.mark.parametrize("flag", [[], ["--best-effort"]])
     def test_rule_checks_applicability_once(self, monkeypatch, capsys, flag):
         angle_calls = _count_calls(monkeypatch, angles_of)
-        checks = _count_calls(monkeypatch, stopping_rule.applicability_of)
+        checks = _count_calls(monkeypatch, check_applicability)
         code, _ = run_cli(capsys, "rule", "--N", "65536", "--M", "12", "--K", "13", *flag)
         assert code == 0 and len(checks) == 1
         assert len(angle_calls) == 3  # applicability, construction, certificate

@@ -19,7 +19,7 @@ from groverstop import (
 )
 from groverstop.core_model import GroverAngles
 from groverstop import diophantine
-from groverstop.cli import build_table_rows, main
+from groverstop.cli import TableRow, build_table_rows, main
 from groverstop.diophantine import (
     _FIRST_CHUNK,
     HORIZON_CAP,
@@ -358,7 +358,8 @@ class TestReportsCarryTheScansPair:
     def test_table_pair_at_l_minimal_is_the_array_kernel(self):
         triples = [(N, M, K) for N in range(65536, 1048577, 131072)
                    for M in range(1, 41, 3) for K in range(2, 61, 5) if M < K]
-        rows = [row for row in build_table_rows(triples, 0.02) if row.l_minimal]
+        rows = [TableRow(*row) for row in build_table_rows(triples, 0.02)]
+        rows = [row for row in rows if row.l_minimal]
         ls = np.array([row.l_minimal for row in rows], float)
         angles = GroverAngles(
             theta_M=np.array([row.theta_M for row in rows]),
@@ -380,10 +381,11 @@ class TestReportsCarryTheScansPair:
 
 
 def _assert_rows_match_reference(angles_list, threshold, horizons, mode):
-    found_l, found_score, _, _ = scan_rows(
-        [a.theta_K for a in angles_list], [a.theta_M for a in angles_list],
-        threshold, horizons, mode,
-    )
+    # The horizons as a list of ints and as an array give the same scan.
+    thetas = [a.theta_K for a in angles_list], [a.theta_M for a in angles_list]
+    found_l, found_score = scan_rows(*thetas, threshold, list(horizons), mode)
+    from_array = scan_rows(*thetas, threshold, np.array(horizons, dtype=np.float64), mode)
+    assert found_l.tobytes() + found_score.tobytes() == b"".join(a.tobytes() for a in from_array)
     for i, (angles, horizon) in enumerate(zip(angles_list, horizons)):
         ref = _reference_scan(angles, threshold, horizon, mode)
         if ref is None:
@@ -449,22 +451,28 @@ class TestScanRows:
         inst = make_instance(1048576, 37, 41)
         angles = angles_of(inst)
         report = minimal_odd_l(angles, 1e-3, 999999)
-        (l,), (score,), _, _ = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
+        (l,), (score,) = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
         assert report.found and (report.l, report.score) == (l, score)
         assert (report.fail_K, report.fail_M) == failure_kernel(report.l, angles)
 
     def test_empty_batch_and_bad_input(self):
-        found_l, found_score, fail_K, fail_M = scan_rows([], [], 0.25, [])
-        assert found_l.size == found_score.size == fail_K.size == fail_M.size == 0
-        with pytest.raises(ValueError):
-            scan_rows([0.1, 0.2], [0.05, 0.1], 0.25, [5, 0])
+        for horizons in ([], np.array([])):
+            found_l, found_score = scan_rows([], [], 0.25, horizons)
+            assert found_l.size == found_score.size == 0
+        for horizons in ([5, 0], np.array([5.0, 0.0])):
+            with pytest.raises(ValueError):
+                scan_rows([0.1, 0.2], [0.05, 0.1], 0.25, horizons)
         for threshold in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError):
                 scan_rows([0.1], [0.05], threshold, [5])
 
     def test_horizon_beyond_exact_doubles_is_accepted(self):
-        (l,), *_ = scan_rows([math.pi / 51], [0.0], 1e-12, [10**30])
+        # Ints past 2**53 and past the double range, and an array past 2**53.
+        (l,), (score,) = scan_rows([math.pi / 51], [0.0], 1e-12, [10**30])
         assert l == 51
+        for horizons in (np.array([1e30]), [2**53 + 1], [10**400]):
+            (other_l,), (other_score,) = scan_rows([math.pi / 51], [0.0], 1e-12, horizons)
+            assert (other_l, _bits(other_score)) == (l, _bits(score))
 
 
 # theta_M and theta_K near 0; theta_K = pi; both within 2^-22 of pi; mid-range.
