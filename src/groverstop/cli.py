@@ -1,8 +1,10 @@
 """Command-line front end: rule | search | orbit | table | experiment | pad | diagnose.
 
-Every command's output is a pure function of its flags (plus the seed where
-one applies); no environment variables are consulted.  Exit codes are a
-stable contract: 0 success, 1 input error, 2 not applicable, 64 usage.
+Each command is a function from its parsed flags to its exit code and report
+text; `main` writes the text, to stdout or to the file named by --out, which
+every command takes.  So the output is a pure function of the flags (plus the
+seed where one applies); no environment variables are consulted.  Exit codes
+are a stable contract: 0 success, 1 input error, 2 not applicable, 64 usage.
 
 CSV output is UTF-8 with LF line endings; reals are written with 17
 significant digits so parsing the file back reproduces the exact doubles.
@@ -19,7 +21,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from itertools import chain, compress
-from typing import Any, Iterable, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .stopping_rule import (
     require_applicable,
 )
 from .transforms import (
-    PremiseViolated,
     applicability_flags,
     l_bound_of,
     pad_for_ratio,
@@ -178,7 +179,7 @@ def _parse_range(spec: str) -> range:
     raise ValueError(f"bad range spec {spec!r}; expected START:STOP[:STEP]")
 
 
-def cmd_rule(args: argparse.Namespace) -> int:
+def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
     bound = error_bound(args.epsilon)
     app = check_applicability(instance)
@@ -192,8 +193,7 @@ def cmd_rule(args: argparse.Namespace) -> int:
         search = minimal_odd_l(angles_of(instance), bound, default_horizon(instance))
         report["path"] = "plain-grover"
         report["search"] = asdict(search)
-        _emit(_json_dump(report), args.out)
-        return EXIT_OK
+        return EXIT_OK, _json_dump(report)
     report["path"] = "constructive"
     try:
         if not args.best_effort:
@@ -201,27 +201,21 @@ def cmd_rule(args: argparse.Namespace) -> int:
     except (NotApplicable, GammaTooLarge) as exc:
         report["reason"] = exc.reason
         report["error"] = str(exc)
-        _emit(_json_dump(report), args.out)
-        return EXIT_NOT_APPLICABLE
+        return EXIT_NOT_APPLICABLE, _json_dump(report)
     rule = construct_rule(instance, best_effort=True)
     report["rule"] = asdict(rule)
     report["certificate"] = asdict(certify(rule, instance, args.epsilon))
-    _emit(_json_dump(report), args.out)
-    return EXIT_OK
+    return EXIT_OK, _json_dump(report)
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
     report = minimal_odd_l(angles_of(instance), args.tol, horizon, args.mode)
-    _emit(
-        _json_dump({"instance": asdict(instance), "search": asdict(report)}),
-        args.out,
-    )
-    return EXIT_OK
+    return EXIT_OK, _json_dump({"instance": asdict(instance), "search": asdict(report)})
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
+def cmd_orbit(args: argparse.Namespace) -> tuple[int, str]:
     if args.l_max < 1 or args.l_max % 2 == 0:
         raise ValueError(f"--l-max must be odd and >= 1, got {args.l_max}")
     instance = make_instance(args.N, args.M, args.K)
@@ -231,8 +225,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     distance = target_distance(x_K, x_M)
     scores = np.maximum(*failure_kernel(ls, angles))
     rows = zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist(), scores.tolist())
-    _emit(_csv_text(_ORBIT_COLUMNS, rows), args.out)
-    return EXIT_OK
+    return EXIT_OK, _csv_text(_ORBIT_COLUMNS, rows)
 
 
 def build_table_rows(
@@ -293,22 +286,23 @@ def _cells(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return column
 
 
-def _iter_grid(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
-    if args.triples:
-        with open(args.triples, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+def _grid_corners(ns: range, ms: range, ks: range) -> Iterator[tuple[int, int, int]]:
+    """The valid triples of a grid product: its corners with 0 <= m < k <= n."""
+    return ((n, m, k) for n in ns for m in ms for k in ks if 0 <= m < k <= n)
+
+
+def _read_triples(path: str) -> Iterator[tuple[int, int, int]]:
+    """The 'N M K' rows of a file, as written; a file with none is an input error."""
+    empty = True
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                empty = False
                 n, m, k = (int(tok) for tok in line.replace(",", " ").split())
                 yield n, m, k
-        return
-    if not (args.N_range and args.M_range and args.K_range):
-        raise ValueError("provide --triples or all of --N-range/--M-range/--K-range")
-    for n in _parse_range(args.N_range):
-        for m in _parse_range(args.M_range):
-            for k in _parse_range(args.K_range):
-                yield n, m, k
+    if empty:
+        raise ValueError("empty grid")
 
 
 def _check_horizon(horizon: int | None) -> None:
@@ -316,37 +310,43 @@ def _check_horizon(horizon: int | None) -> None:
         raise ValueError(f"--horizon must be >= 1, got {horizon}")
 
 
-def _table_triples(args: argparse.Namespace) -> Iterable[tuple[int, int, int]]:
-    """The grid's valid triples, one per scaled family with --reduced."""
+def _table_triples(args: argparse.Namespace) -> Iterator[tuple[int, int, int]]:
+    """Every --triples row, or the valid corners of the range product.
+
+    Each row goes on to ``make_instance``, so a bad one is an input error,
+    while a product's invalid corners are skipped.  With --reduced, only the
+    first triple of each scaled family is kept.
+    """
+    if args.triples:
+        triples = _read_triples(args.triples)
+    elif args.N_range and args.M_range and args.K_range:
+        ranges = [_parse_range(spec) for spec in (args.N_range, args.M_range, args.K_range)]
+        if not all(ranges):
+            raise ValueError("empty grid")
+        triples = _grid_corners(*ranges)
+    else:
+        raise ValueError("provide --triples or all of --N-range/--M-range/--K-range")
     seen_scaled: set[tuple[int, int, int]] = set()
-    any_triple = False
-    for n, m, k in _iter_grid(args):
-        any_triple = True
-        if not (0 <= m < k <= n):
-            continue  # grid products include invalid corners; skip them
+    for n, m, k in triples:
         if args.reduced:
             key = reduce_common_divisor(m, k, n)
             if key in seen_scaled:
                 continue
             seen_scaled.add(key)
         yield n, m, k
-    if not any_triple:
-        raise ValueError("empty grid")
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     # Bad flags fail even when every triple of the grid is skipped.
     error_bound(args.epsilon)
     _check_horizon(args.horizon)
     rows = build_table_rows(_table_triples(args), args.epsilon, args.horizon)
     if args.format == "json":
-        _emit(_json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows]), args.out)
-    else:
-        _emit(_csv_text(_TABLE_COLUMNS, rows), args.out)
-    return EXIT_OK
+        return EXIT_OK, _json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows])
+    return EXIT_OK, _csv_text(_TABLE_COLUMNS, rows)
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
+def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
     outcomes = {}
     for truth in ("M", "K"):
@@ -355,48 +355,37 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
         outcomes[truth] = asdict(outcome)
     expected = failure_probabilities(args.l, angles_of(instance))
-    _emit(
-        _json_dump(
-            {
-                "instance": asdict(instance),
-                "l": args.l,
-                "trials": args.trials,
-                "seed": args.seed,
-                "epsilon": args.epsilon,
-                "rng_algorithm": RNG_ALGORITHM,
-                "expected": asdict(expected),
-                "outcomes": outcomes,
-            }
-        ),
-        args.out,
+    return EXIT_OK, _json_dump(
+        {
+            "instance": asdict(instance),
+            "l": args.l,
+            "trials": args.trials,
+            "seed": args.seed,
+            "epsilon": args.epsilon,
+            "rng_algorithm": RNG_ALGORITHM,
+            "expected": asdict(expected),
+            "outcomes": outcomes,
+        }
     )
-    return EXIT_OK
 
 
-def cmd_pad(args: argparse.Namespace) -> int:
+def cmd_pad(args: argparse.Namespace) -> tuple[int, str]:
     padded = pad_for_ratio(args.M, args.N, args.a, args.epsilon)
-    _emit(_json_dump(asdict(padded)), args.out)
-    return EXIT_OK
+    return EXIT_OK, _json_dump(asdict(padded))
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> tuple[int, str]:
     make_instance(args.N, 0, 1)  # rejects a bad N even when no (M, K) pair fits under it
     bound = error_bound(args.epsilon)
     _check_horizon(args.horizon)
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")
-    # Every pair the filter keeps is a valid triple with the N checked above.
-    M, K = np.fromiter(
-        chain.from_iterable(
-            (m, k)
-            for m in _parse_range(args.M_range)
-            for k in _parse_range(args.K_range)
-            if 0 <= m < k <= args.N
-        ),
-        dtype=np.int64,
-    ).reshape(-1, 2).T
-    N = np.full(M.size, args.N, dtype=np.int64)
+    # The corners kept are valid triples, with the N checked above.
+    corners = _grid_corners(
+        range(args.N, args.N + 1), _parse_range(args.M_range), _parse_range(args.K_range)
+    )
+    N, M, K = np.fromiter(chain.from_iterable(corners), dtype=np.int64).reshape(-1, 3).T
     angles = rotation_angles(N, M, K)
     l_bounds = l_bound_of(N, M, K)
     if args.horizon is not None:
@@ -424,8 +413,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 }
             )
     entries.sort(key=lambda e: (-e["ratio"], e["M"], e["K"]))
-    _emit(_json_dump(entries), args.out)
-    return EXIT_OK
+    return EXIT_OK, _json_dump(entries)
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
@@ -437,29 +425,30 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="groverstop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the report to this file, not stdout")
 
-    p_rule = sub.add_parser("rule", help="constructive stopping rule with certificate")
+    def command(name: str, func: Callable, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p_rule = command("rule", cmd_rule, "constructive stopping rule with certificate")
     _add_instance_flags(p_rule)
     p_rule.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_rule.add_argument("--best-effort", action="store_true")
-    p_rule.add_argument("--out")
-    p_rule.set_defaults(func=cmd_rule)
 
-    p_search = sub.add_parser("search", help="exhaustive minimal odd-l search")
+    p_search = command("search", cmd_search, "exhaustive minimal odd-l search")
     _add_instance_flags(p_search)
     p_search.add_argument("--tol", type=float, default=0.25)
     p_search.add_argument("--horizon", type=int)
     p_search.add_argument("--mode", choices=["relaxed", "strict"], default="relaxed")
-    p_search.add_argument("--out")
-    p_search.set_defaults(func=cmd_search)
 
-    p_orbit = sub.add_parser("orbit", help="torus orbit trace as CSV")
+    p_orbit = command("orbit", cmd_orbit, "torus orbit trace as CSV")
     _add_instance_flags(p_orbit)
     p_orbit.add_argument("--l-max", type=int, required=True, dest="l_max")
-    p_orbit.add_argument("--out")
-    p_orbit.set_defaults(func=cmd_orbit)
 
-    p_table = sub.add_parser("table", help="stopping-rule table over a grid")
+    p_table = command("table", cmd_table, "stopping-rule table over a grid")
     p_table.add_argument("--triples", help="file of 'N M K' lines")
     p_table.add_argument("--N-range", dest="N_range", help="START:STOP[:STEP], inclusive")
     p_table.add_argument("--M-range", dest="M_range")
@@ -468,27 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--horizon", type=int)
     p_table.add_argument("--reduced", action="store_true", help="skip proportional triples")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--out")
-    p_table.set_defaults(func=cmd_table)
 
-    p_exp = sub.add_parser("experiment", help="Monte Carlo discrimination experiment")
+    p_exp = command("experiment", cmd_experiment, "Monte Carlo discrimination experiment")
     _add_instance_flags(p_exp)
     p_exp.add_argument("--l", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
     p_exp.add_argument("--seed", type=int, required=True)
     p_exp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p_exp.add_argument("--out")
-    p_exp.set_defaults(func=cmd_experiment)
 
-    p_pad = sub.add_parser("pad", help="pad the database to shrink the size ratio")
+    p_pad = command("pad", cmd_pad, "pad the database to shrink the size ratio")
     p_pad.add_argument("--M", type=int, required=True)
     p_pad.add_argument("--N", type=int, required=True)
     p_pad.add_argument("--a", type=float, default=2.0, help="ratio K = a*M")
     p_pad.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p_pad.add_argument("--out")
-    p_pad.set_defaults(func=cmd_pad)
 
-    p_diag = sub.add_parser("diagnose", help="find slow (small-divisor) instances")
+    p_diag = command("diagnose", cmd_diagnose, "find slow (small-divisor) instances")
     p_diag.add_argument("--N", type=int, required=True)
     p_diag.add_argument("--M-range", dest="M_range", required=True)
     p_diag.add_argument("--K-range", dest="K_range", required=True)
@@ -496,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report rows with l_minimal/l_bound above this")
     p_diag.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_diag.add_argument("--horizon", type=int)
-    p_diag.add_argument("--out")
-    p_diag.set_defaults(func=cmd_diagnose)
 
     return parser
 
@@ -511,10 +492,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, TypeError, PremiseViolated, OSError) as exc:
+        code, text = args.func(args)
+        _emit(text, args.out)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"groverstop: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 def entry() -> None:

@@ -488,6 +488,30 @@ class TestBadInputIsExitOne:
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)
         assert (code, out) == (1, "")
 
+    # A --triples row is taken as written, never skipped like a grid corner.
+    @pytest.mark.parametrize("row", ["4096 12 8", "0 0 1", "4096 5 5000", "-4 0 1"])
+    @pytest.mark.parametrize("reduced", [[], ["--reduced"]], ids=["plain", "reduced"])
+    def test_table_bad_triples_row(self, capsys, tmp_path, row, reduced):
+        triples = tmp_path / "triples.txt"
+        triples.write_text(f"4096 8 12\n{row}\n")
+        code = main(["table", "--triples", str(triples), *reduced])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        with pytest.raises(ValueError) as rejected:
+            make_instance(*map(int, row.split()))
+        assert captured.err == f"groverstop: error: {rejected.value}\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["pad --M 1 --N 1048576", "table --N-range 1024 --M-range 4 --K-range 6"],
+        ids=["json", "csv"],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        out_file = tmp_path / "missing" / "report"
+        code, out = run_cli(capsys, *command.split(), "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert not out_file.parent.exists()
+
 
 def _run_captured(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -3,11 +3,14 @@
 A speedup or refactor must leave these bytes alone; a hash that changes is a
 contract change and has to be declared as one.  `table` runs without --out so
 its CSV is hashed from stdout; a test checks that every README command is
-pinned here.
+pinned here, and another that each writes the same bytes to an --out file.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,3 +313,30 @@ def test_readme_commands_are_pinned():
     assert {"rule", "search", "orbit", "table", "experiment", "pad", "diagnose"} <= subcommands
     pinned = {command for command, _, _ in GOLDEN}
     assert [command for command in commands if command not in pinned] == []
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_out_file(capsys, tmp_path, command):
+    """With --out, a README command writes its pinned bytes to the file, none to stdout."""
+    ((code, digest),) = [(code, digest) for pinned, code, digest in GOLDEN if pinned == command]
+    report = tmp_path / "report"
+    assert main([*command.split(), "--out", str(report)]) == code
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_module_entry_point():
+    """`python -m groverstop.cli` exits with main's code: 2 with the pinned report, 64 on usage."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = "rule --N 1048576 --M 740 --K 800"
+    run = subprocess.run(
+        [sys.executable, "-m", "groverstop.cli", *command.split()], capture_output=True, env=env
+    )
+    (digest,) = [digest for pinned, _, digest in GOLDEN if pinned == command]
+    assert (run.returncode, hashlib.sha256(run.stdout).hexdigest()) == (2, digest)
+    usage = subprocess.run(
+        [sys.executable, "-m", "groverstop.cli", "rule", "--N", "4"], capture_output=True, env=env
+    )
+    assert (usage.returncode, usage.stdout) == (64, b"")
