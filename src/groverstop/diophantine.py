@@ -10,22 +10,19 @@ neighborhood of (1/4, 0).  This module scans that orbit directly:
   max(cos^2(l*theta_K/2), sin^2(l*theta_M/2)), which also accepts hits at
   (1/4 mod 1/2, 0 mod 1/2) and therefore never finds a larger l than strict.
 
-Scans are linear over odd l.  At desk-scale horizons this is exact and doubles
-as the ground-truth oracle for the constructive rule.  ``scan_rows`` scans
-many rows (angle pairs, each with its own horizon) together, one chunk of l
-for every row still scanning; ``minimal_odd_l`` is its one-row call.
+Scans are exhaustive, the ground-truth oracle for the constructive rule.
+``scan_rows`` scans many rows (angle pairs, each with its own horizon)
+together; ``minimal_odd_l`` is its one-row call.
 
-Both scores are within a threshold only where the orbit point is near the
-target, so a chunk is first filtered without trig or fmod.  Relaxed mode
-keeps l only where l*theta_M/2pi lies within asin(sqrt(threshold))/pi of an
-integer and l*theta_K/2pi + 1/2 does too (sin^2 and cos^2 of half the angle
-are then both within the threshold); strict mode keeps l only where
-l*theta_M/4pi lies within the threshold of an integer and l*theta_K/4pi - 1/4
-does too.  The radius is widened by a bound on the float error of these turn
-counts (see ``_block_hits`` and ``_relaxed_reach``), so the filter keeps
-every l the score accepts.  Only the l it keeps are scored, by the same
-elementwise kernel that would score every l, so every decision and every
-score equals that of scoring each l.
+Both scores are within a threshold only where each coordinate is near its
+target (relaxed: l*theta_M/2pi within asin(sqrt(threshold))/pi of an integer,
+and l*theta_K/2pi + 1/2 too; strict: l*theta_M/4pi and l*theta_K/4pi - 1/4
+within the threshold of one).  That holds on runs of odd l, one per return to
+the target (the returns the three-distance theorem counts; Sos 1958,
+Swierczkowski 1959), so a scan scores only where runs of both coordinates
+intersect, in order.  The runs are widened by a bound on the float error of
+the turn counts (``_first_hits``, ``_relaxed_reach``), so they hold every l
+the score accepts, which the same elementwise kernel scores as it would every l.
 """
 
 from __future__ import annotations
@@ -53,8 +50,8 @@ __all__ = [
 
 SearchMode = Literal["relaxed", "strict"]
 
-SCAN_CHUNK = 1 << 16  # widest chunk of l, and most scores a scan holds at once
-_FIRST_CHUNK = 1 << 8
+SCAN_CHUNK = 1 << 14  # most scores or runs one scan round holds; 1 << 16 raised peak RSS
+_STRIDES = 8  # most residues a scan splits a row's odd l into
 HORIZON_CAP = 10**8 - 1  # largest odd default horizon
 _L_EXACT = 2.0**53  # odd l beyond this are not exact doubles: no scan gets there
 
@@ -115,7 +112,7 @@ def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.
     """The mode's score of each l, elementwise.
 
     The thetas of ``angles`` may be arrays of the shape of ``ls``, one theta
-    per l: the scan scores the l its filter kept, gathered from many rows.
+    per l: a scan scores the l of its runs, gathered from many rows.
     """
     if mode == "relaxed":
         return np.maximum(*failure_kernel(ls, angles))
@@ -139,60 +136,106 @@ def _relaxed_reach(threshold: float) -> float:
 _TURN_AND_SHIFT = {"relaxed": (2.0 * math.pi, 0.5), "strict": (4.0 * math.pi, -0.25)}
 
 
-def _near_integer(ls, w, shift, bound, y, t, out):
-    """out = dist(l*w + shift, Z) <= bound, for a column w of turns per l.
+def _ranges(start, count):
+    """(index of its range, value) of each element of the ranges [start, start + count)."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, start[owner] + (np.arange(owner.size) - (np.cumsum(count) - count)[owner])
 
-    y and t are work arrays of out's shape; nothing is allocated.
+
+def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
+    """``scan_rows`` over the odd l in [start, horizon], for rows of float arrays.
+
+    A row is split into q <= _STRIDES residues, odd l = s*i + o with s = 2q,
+    q > 1 only where both coordinates return often.  Over i, a coordinate's
+    turn count y = l*w + shift (w = theta/turn) is i*v + u mod 1, with
+    v = s*w - round(s*w) and u = o*w + shift (both negated where v < 0), so it
+    accepts the i of the runs [(j - u - B)/v, (j - u + B)/v].  B adds
+    (H*w + 8)*2^-49 turns to the radius, H the horizon: more than the kernel's
+    error in y, (5*|y| + 1)*2^-53 with |y| <= H*w (the turn angle, theta/turn,
+    and the kernel's product, or ``orbit_coords`` and a distance to 1/4), v's
+    |y|*2^-53, u's 17*2^-53, and the (3*H*w + 73)*2^-53 of a turn count or run
+    end computed below (j, u and B stay below H*w + 18).
+
+    A round takes, for each residue of a block, the next ``reps`` runs of its
+    slower coordinate, up to ``per`` runs of the other in them, and the first
+    ``n`` i of each intersection (n*reps of its first, so a resumed one grows);
+    the next round resumes at the first i left out.  Hits start within the
+    runs' widening, H*2^-50 + 2^-47/v i for small theta, of an intersection's
+    start, hence n.  No round holds more than SCAN_CHUNK scores or runs, and a
+    residue stops at its row's first hit.
     """
-    np.multiply(ls, w[:, None], out=y)
-    if shift:
-        y += shift
-    np.rint(y, out=t)
-    y -= t
-    np.abs(y, out=y)
-    np.less_equal(y, bound, out=out)
-
-
-def _work_arrays() -> list[np.ndarray]:
-    """The scratch arrays of ``_block_hits``: two float and two bool, SCAN_CHUNK each.
-
-    They are allocated once per ``scan_rows`` call and reused by every block
-    through ``out=``.  Keep it so: a variant that allocated its temporaries per
-    block slowed an in-process 4000-row ``table`` pass from 225-267 ms to
-    314-332 ms (four alternating runs on 2 vCPUs).
-    """
-    return [np.empty(SCAN_CHUNK, dtype) for dtype in (np.float64, np.float64, bool, bool)]
-
-
-def _block_hits(ls, theta_K, theta_M, horizons, threshold, mode, work):
-    """(row, l, score) of every hit in a rows x width block, row-major.
-
-    So each row's first hit comes before its others.  ``work`` comes from
-    ``_work_arrays``.
-
-    A turn count y of the filter is off from the kernel's by at most
-    (5*|y| + 1) * 2^-53.  Relaxed: the roundings of the turn angle, theta/turn,
-    the product and the shift, and the kernel's product.  Strict, in 2^-53
-    (one 4.0 * math.pi for both): the filter's theta/turn, product and shift,
-    3*|y| + 1/4; ``orbit_coords``'s l*theta and division, 2*|y|, then an exact
-    mod 1 and a distance to 1/4 that rounds once, 1/2.  The filter allows
-    8 * (|y| + 1) * 2^-53, |y| taken at the block's largest l and theta.
-    """
-    shape = (theta_K.size, ls.size)
-    y, t, keep, near = (a[: shape[0] * shape[1]].reshape(shape) for a in work)
     turn, shift = _TURN_AND_SHIFT[mode]
     radius = _relaxed_reach(threshold) if mode == "relaxed" else threshold
-    w_K, w_M = theta_K / turn, theta_M / turn
-    bound = radius + (ls[-1] * max(w_K.max(), w_M.max()) + 1.0) * 2.0**-50
-    _near_integer(ls, w_M, 0.0, bound, y, t, keep)
-    _near_integer(ls, w_K, shift, bound, y, t, near)
-    keep &= near
-    rows, cols = np.divmod(np.flatnonzero(keep), ls.size)
-    ls = ls[cols]
-    angles = GroverAngles(theta_M=theta_M[rows], theta_K=theta_K[rows], gamma=None)
-    scores = _chunk_scores(ls, angles, mode)
-    hit = (scores <= threshold) & (ls <= horizons[rows])
-    return rows[hit], ls[hit], scores[hit]
+    w = np.stack([theta_K, theta_M]) / turn
+    # Runs per i of each stride, and about 64 per residue: q takes the fewest.
+    q = np.ones(horizons.size, np.int64)
+    fast = np.flatnonzero(np.abs(2.0 * w - np.rint(2.0 * w)).min(axis=0) > 0.125)
+    strides = 2.0 * np.arange(1, _STRIDES + 1)[:, None]
+    a, b = (np.abs(strides * c[fast] - np.rint(strides * c[fast])) for c in w)
+    runs = np.minimum(a, b) + 2.0 * radius * np.maximum(a, b) + 64.0 * strides / horizons[fast]
+    q[fast] += runs.argmin(axis=0)
+    first = np.full(q.size, np.inf)  # each row's first hit found so far
+    parent = np.repeat(np.arange(q.size), q)  # the row of each residue
+    offset = 2.0 * (np.arange(parent.size) - (np.cumsum(q) - q)[parent]) + 1.0
+    stride, w, horizons = 2.0 * q[parent], w[:, parent], horizons[parent]
+    theta_K, theta_M, starts = theta_K[parent], theta_M[parent], starts[parent]
+    reach = radius + (horizons * w + 8.0) * 2.0**-49
+    v = stride * w - np.rint(stride * w)
+    u = np.copysign(1.0, v) * (offset * w + np.array([[shift], [0.0]]))
+    v = np.maximum(np.abs(v), 2.0**-200)  # theta = 0: one run, of every i or of none
+    faster_K = v[0] > v[1]  # the slower coordinate goes first
+    v, u, reach = (np.where(faster_K, a[::-1], a) for a in (v, u, reach))
+    last = np.floor((horizons - offset) / stride)
+    frontier = (starts - offset) / stride  # every i below it is scanned
+    found_l, found_score = np.zeros(parent.size, np.int64), np.full(parent.size, np.nan)
+    n = 2 + int(horizons.max(initial=1.0) * 2.0**-48)
+    active = np.arange(parent.size)  # residues still scanning
+    reps, done = 1, 0
+    while active.size:
+        block = active[done : done + max(1, SCAN_CHUNK // (2 * reps * n))]
+        per = SCAN_CHUNK // (block.size * n) - reps
+        (v0, v1), (u0, u1), (b0, b1) = (a.take(block, axis=1)[..., None] for a in (v, u, reach))
+        at = frontier[block, None]
+        # The slower coordinate's runs, from the first that may reach the frontier.
+        j = np.ceil(at * v0 + (u0 - b0)) + np.arange(reps)
+        lo = np.maximum((j - u0 - b0) / v0, at)
+        hi = np.minimum((j - u0 + b0) / v0, last[block, None])
+        k = np.ceil(lo * v1 + (u1 - b1))
+        count = np.maximum(np.floor(hi * v1 + (u1 + b1)) - k + 1.0, 0.0)
+        take = np.clip(per - (np.cumsum(count, axis=1) - count), 0.0, count)
+        skipped = np.where(take < count, np.maximum(lo, (k + take - u1 - b1) / v1), np.inf)
+        reached = np.minimum(np.maximum(np.floor(hi[:, -1]) + 1.0, at[:, 0]), skipped.min(axis=1))
+        entry, k = _ranges(k.ravel(), take.ravel().astype(np.int64))
+        row = entry // reps
+        v1, u1, b1 = v1[row, 0], u1[row, 0], b1[row, 0]
+        lo = np.ceil(np.maximum(lo.ravel()[entry], (k - u1 - b1) / v1))
+        size = np.floor(np.minimum(hi.ravel()[entry], (k - u1 + b1) / v1)) - lo + 1.0
+        scored = np.clip(size, 0.0, np.where(np.diff(row, prepend=-1), n * reps, n))
+        cut = scored < size
+        np.minimum.at(reached, row[cut], lo[cut] + scored[cut])
+        pair, i = _ranges(lo, scored.astype(np.int64))
+        row = row[pair]
+        rows = block[row]
+        ls = stride[rows] * i + offset[rows]
+        angles = GroverAngles(theta_M=theta_M[rows], theta_K=theta_K[rows], gamma=None)
+        scores = _chunk_scores(ls, angles, mode)
+        # A residue's first hit is its smallest below its frontier, and its new frontier.
+        hits = scores <= threshold
+        np.minimum.at(reached, row[hits], i[hits])
+        hits &= i == reached[row]  # an i in two overlapping intersections scores twice
+        found_l[rows[hits]] = ls[hits]
+        found_score[rows[hits]] = scores[hits]
+        np.minimum.at(first, parent[rows[hits]], ls[hits])
+        frontier[block] = reached
+        done += block.size
+        if done == active.size:
+            last = np.minimum(last, np.ceil((first[parent] - offset) / stride) - 1.0)
+            active = active[(found_l[active] == 0) & (frontier[active] <= last[active])]
+            reps, done = min(2 * reps, SCAN_CHUNK // (2 * n)), 0
+    win = (found_l > 0) & (found_l == first[parent])  # the residue holding the row's first hit
+    l_first, score_first = np.zeros(first.size, np.int64), np.full(first.size, np.nan)
+    l_first[parent[win]], score_first[parent[win]] = found_l[win], found_score[win]
+    return l_first, score_first
 
 
 def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "relaxed"):
@@ -205,11 +248,8 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
     take it from the array ``failure_kernel``, which a relaxed scan decides
     with, so a relaxed score is the pair's maximum.
 
-    Every round scores one chunk of odd l for each row still scanning: the
-    first chunk holds _FIRST_CHUNK values, and each next one twice as many,
-    up to SCAN_CHUNK, so an early hit costs a small chunk and a long scan
-    only a few extra ones.  Rows are taken in blocks of at most SCAN_CHUNK
-    l.  A row stops at its first hit or once the chunks pass its horizon.
+    Rows are scanned together, in rounds over blocks of rows, through the runs
+    of odd l where both coordinates are near their targets (``_first_hits``).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -219,27 +259,7 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
     horizons = np.minimum(np.asarray(horizons), _L_EXACT).astype(np.float64)
     if horizons.size and horizons.min() < 1:
         raise ValueError(f"horizon must be >= 1, got {horizons.min():.0f}")
-    found_l = np.zeros(horizons.size, dtype=np.int64)
-    found_score = np.full(horizons.size, np.nan)
-    work = _work_arrays()
-    active = np.arange(horizons.size)  # rows that score the current chunk
-    start, width, done = 1, _FIRST_CHUNK, 0
-    while active.size:
-        block = active[done : done + max(1, SCAN_CHUNK // width)]
-        stop = min(start + 2 * width, int(horizons[block].max()) + 1)
-        ls = np.arange(start, stop, 2, dtype=np.float64)
-        rows, hit_l, scores = _block_hits(
-            ls, theta_K[block], theta_M[block], horizons[block], threshold, mode, work
-        )
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
-        found_l[block[rows[first]]] = hit_l[first]
-        found_score[block[rows[first]]] = scores[first]
-        done += block.size
-        if done == active.size:
-            start += 2 * width
-            active = active[(found_l[active] == 0) & (horizons[active] >= start)]
-            width, done = min(2 * width, SCAN_CHUNK), 0
-    return found_l, found_score
+    return _first_hits(theta_K, theta_M, threshold, np.ones_like(horizons), horizons, mode)
 
 
 def minimal_odd_l(

@@ -11,6 +11,7 @@ from groverstop import (
     check_applicability,
     construct_rule,
     default_horizon,
+    error_bound,
     failure_kernel,
     make_instance,
     minimal_odd_l,
@@ -21,12 +22,10 @@ from groverstop.core_model import GroverAngles
 from groverstop import diophantine
 from groverstop.cli import TableRow, build_table_rows, main
 from groverstop.diophantine import (
-    _FIRST_CHUNK,
     HORIZON_CAP,
     SCAN_CHUNK,
-    _block_hits,
     _chunk_scores,
-    _work_arrays,
+    _first_hits,
     circle_distance,
     scan_rows,
 )
@@ -204,31 +203,20 @@ class TestMinimalOddL:
             minimal_odd_l(ang, 0.5, 0)
 
 
-def _chunk_starts() -> list[int]:
-    """Index, in the sequence of scanned l, of the first l of each chunk.
-
-    Up to and including the first chunk that has grown to SCAN_CHUNK.
-    """
-    starts, width = [0], _FIRST_CHUNK
-    while width < SCAN_CHUNK:
-        starts.append(starts[-1] + width)
-        width *= 2
-    return starts
-
-
-# Last l of the first chunk, first l of the second, first l of the first
-# SCAN_CHUNK-wide chunk.
-HIT_INDICES = (_chunk_starts()[1] - 1, _chunk_starts()[1], _chunk_starts()[-1])
-# Last l of the first, the second and the last narrower-than-SCAN_CHUNK chunk.
-END_INDICES = (_chunk_starts()[1] - 1, _chunk_starts()[2] - 1, _chunk_starts()[-1] - 1)
-
-
-def _reference_scan(angles, threshold, horizon, mode):
+def _reference_scan(angles, threshold, horizon, mode, start=1):
     """Whole-range scan in one array: (l, score) of the first hit, or None."""
-    ls = np.arange(1, horizon + 1, 2, dtype=np.float64)
+    ls = np.arange(start, horizon + 1, 2, dtype=np.float64)
     scores = _chunk_scores(ls, angles, mode)
     hits = np.nonzero(scores <= threshold)[0]
     return (int(ls[hits[0]]), scores[hits[0]]) if hits.size else None
+
+
+def _window_scan(angles, threshold, start, horizon, mode):
+    """One row's scan of the odd l in [start, horizon]: (l, score) of its hit, or None."""
+    thetas = np.array([angles.theta_K]), np.array([angles.theta_M])
+    bounds = np.array([float(start)]), np.array([float(horizon)])
+    (l,), (score,) = _first_hits(*thetas, float(threshold), *bounds, mode)
+    return (int(l), score) if l else None
 
 
 def _hit_at(L: int) -> GroverAngles:
@@ -237,26 +225,78 @@ def _hit_at(L: int) -> GroverAngles:
     return GroverAngles(theta_M=0.0, theta_K=math.pi / L, gamma=None)
 
 
+def _later_round_hit(L: int) -> GroverAngles:
+    # theta_K, the slower, returns at odd multiples of L (relaxed) or at
+    # L, 5L, 9L, ... (strict), and theta_M at multiples of 1.5L (relaxed) or
+    # 3L (strict): the first return of theta_K with one of theta_M in its
+    # run is its second (3L) or third (9L), which a scan reaches in its
+    # second round.
+    return GroverAngles(theta_M=4.0 * math.pi / (3 * L), theta_K=math.pi / L, gamma=None)
+
+
+def _recording(monkeypatch, name):
+    """Patch diophantine.<name> to record its arguments, one tuple per call."""
+    calls, function = [], getattr(diophantine, name)
+
+    def recording(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(diophantine, name, recording)
+    return calls
+
+
 STRICT_AND_RELAXED = (("relaxed", 1e-12), ("strict", 1e-9))
+# Per mode, a planted hit whose run is several odd l long (half-width
+# 2*L*asin(1e-6)/pi = 6.4 l relaxed, 4*L*1e-9 = 8 l strict), scanned from
+# 2000 l before it.
+LONG_RUN = {"relaxed": 10**7 + 1, "strict": 2 * 10**9 + 1}
+
+
+def _edge_case(position, mode):
+    """(angles, first l scanned) of a hit on the edge a position names.
+
+    0: the first odd l of a run several l long; 1: the only odd l of a run
+    shorter than one; 2: a run that a scan reaches in its second round.
+    """
+    if position == 0:
+        return _hit_at(LONG_RUN[mode]), LONG_RUN[mode] - 2000
+    return (_hit_at, _later_round_hit)[position - 1](1001), 1
 
 
 class TestGrowingScan:
-    """The chunked scan finds exactly what one whole-range array finds."""
+    """Hits and horizons on the edges of what a scan round scores.
+
+    A round scores, for each row, the first odd l of each intersection of
+    the runs of its two coordinates (its chunk of l), and a row's next round
+    resumes at the first l it left out.  Each case matches one whole-range
+    array.
+    """
 
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
     @pytest.mark.parametrize("position", range(3))
-    def test_minimal_odd_l_hit_on_chunk_boundary(self, mode, threshold, position):
-        L = 1 + 2 * HIT_INDICES[position]
-        angles = _hit_at(L)
-        for horizon in (L, L + 2 * SCAN_CHUNK):  # the hit ends the scan, or not
-            report = minimal_odd_l(angles, threshold, horizon, mode)
-            l_ref, score_ref = _reference_scan(angles, threshold, horizon, mode)
-            assert report.found and report.l == l_ref == L
-            assert report.score == score_ref
+    def test_minimal_odd_l_hit_on_chunk_boundary(self, mode, threshold, position, monkeypatch):
+        angles, start = _edge_case(position, mode)
+        l_ref, score_ref = _reference_scan(angles, threshold, start + 20000, mode, start)
+        rounds = _recording(monkeypatch, "_chunk_scores")
+        for horizon in (l_ref, l_ref + 2 * SCAN_CHUNK):  # the hit ends the scan, or not
+            rounds.clear()
+            if start == 1:
+                report = minimal_odd_l(angles, threshold, horizon, mode)
+                assert report.found and (report.l, report.score) == (l_ref, score_ref)
+            else:
+                assert _window_scan(angles, threshold, start, horizon, mode) == (l_ref, score_ref)
+            scored = [set(ls.tolist()) for ls, *_ in rounds]
+            hit_round = next(r for r, ls in enumerate(scored) if l_ref in ls)
+            assert l_ref - 2 not in scored[hit_round]  # the first l of its chunk
+            assert (l_ref + 2 in scored[hit_round]) == (position == 0 and horizon > l_ref)
+            assert (hit_round > 0) == (position == 2)
+        if position == 0:
+            assert l_ref < LONG_RUN[mode] - 4  # the run holds several l before its centre
 
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
     def test_horizon_shorter_than_first_chunk(self, mode, threshold):
-        horizon = _FIRST_CHUNK - 1  # scanned in one partial first chunk
+        horizon = 255  # before the first run of _hit_at(257)
         found = minimal_odd_l(_hit_at(51), threshold, horizon, mode)
         assert found.found and found.l == 51
         missed = minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode)
@@ -266,18 +306,40 @@ class TestGrowingScan:
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
     @pytest.mark.parametrize("position", range(3))
     def test_horizon_ending_on_chunk_boundary(self, mode, threshold, position):
-        # The horizon is the last l of a chunk: a hit there is found, one
-        # step beyond it is not.
-        index = END_INDICES[position]
-        horizon = 1 + 2 * index
-        assert minimal_odd_l(_hit_at(horizon), threshold, horizon, mode).l == horizon
-        assert not minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode).found
+        # The horizon is the hit: it is found; two below it, nothing is.  A
+        # horizon inside the run of position 0 ends its intersection there.
+        angles, start = _edge_case(position, mode)
+        hit = _reference_scan(angles, threshold, start + 20000, mode, start)
+        for horizon in (hit[0], hit[0] + 2, hit[0] + 4):
+            assert _window_scan(angles, threshold, start, horizon, mode) == hit
+        assert _window_scan(angles, threshold, start, hit[0] - 2, mode) is None
+        assert _reference_scan(angles, threshold, hit[0] - 2, mode, start) is None
 
-    def test_exhausted_horizon_spanning_capped_chunks(self):
-        horizon = 1 + 2 * (HIT_INDICES[2] + SCAN_CHUNK + 99)
+    def test_exhausted_horizon_spanning_capped_chunks(self, monkeypatch):
+        # theta_K returns at odd multiples of 51 (strict: 51 mod 204) and
+        # theta_M at multiples of 102 (204): no odd l is near both.  The scan
+        # steps through about 3900 returns of each, over many rounds.
+        angles = GroverAngles(theta_M=math.pi / 51, theta_K=math.pi / 51, gamma=None)
+        horizon = 1 + 2 * (3 * SCAN_CHUNK + 99)
         for mode, threshold in STRICT_AND_RELAXED:
-            report = minimal_odd_l(_hit_at(horizon + 2), threshold, horizon, mode)
+            assert _reference_scan(angles, threshold, horizon, mode) is None
+            rounds = _recording(monkeypatch, "_chunk_scores")
+            report = minimal_odd_l(angles, threshold, horizon, mode)
             assert not report.found and report.l is None and report.horizon == horizon
+            assert len(rounds) > 8
+            monkeypatch.undo()
+
+    def test_hit_in_a_resumed_intersection(self):
+        # Within 2^-42 of 1, the relaxed radius rounds up to half a turn while
+        # the kernel's falls 2^-21/pi short of it.  So the first intersection,
+        # from l = 1, starts about 320 l before its first hit and is resumed
+        # over several rounds, while the next, from about l = 104700, hits
+        # at its first l in the first round and must not count.
+        angles = GroverAngles(theta_M=3e-5, theta_K=3e-9, gamma=None)
+        threshold, horizon = 1.0 - 2.0**-42, 999999
+        report = minimal_odd_l(angles, threshold, horizon)
+        assert (report.l, report.score) == _reference_scan(angles, threshold, horizon, "relaxed")
+        assert report.l == 319
 
     @pytest.mark.parametrize("mode", ("relaxed", "strict"))
     def test_real_instances_match_whole_range_scan(self, mode):
@@ -397,37 +459,108 @@ def _assert_rows_match_reference(angles_list, threshold, horizons, mode):
 
 @st.composite
 def _scan_rows_cases(draw):
-    """A batch of rows: random triples or planted hits, each with its own horizon."""
+    """A batch of rows, each with its own horizon.
+
+    Random triples; slow rows (N up to 2^48, small K: runs many l long);
+    fast rows (K at or next to N, theta_K near pi: runs shorter than one l);
+    and planted hits, at a run's first l wherever the threshold makes the
+    run longer than one l.
+    """
     rows = []
     for _ in range(draw(st.integers(1, 10))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["triple", "slow", "fast", "planted"]))
+        if kind == "planted":
+            angles = _hit_at(1 + 2 * draw(st.integers(0, 20000)))
+        elif kind == "triple":
             angles = angles_of(draw(_triples()))
         else:
-            angles = _hit_at(1 + 2 * draw(st.integers(0, 20000)))
+            N = draw(st.integers(1 << 20, 1 << 48) if kind == "slow" else st.integers(4, 1 << 48))
+            K = draw(st.integers(1, 64)) if kind == "slow" else N - draw(st.integers(0, 2))
+            angles = angles_of(make_instance(N, draw(st.integers(0, K - 1)), K))
         rows.append((angles, 1 + 2 * draw(st.integers(0, 40000))))
     return rows
 
 
+def _linear_scan_rows(theta_K, theta_M, threshold, horizons, mode):
+    """The scan over every odd l that the run scan replaced: a second oracle.
+
+    Every round filters one chunk of odd l for each row still scanning (256
+    l, then twice as many each round, up to 65536; at most 65536 (row, l)
+    pairs at once), keeping the l whose two turn counts lie within the
+    radius plus (l*max(w) + 1)*2^-50 of their targets, and scores those.
+    """
+    turn, shift = diophantine._TURN_AND_SHIFT[mode]
+    radius = diophantine._relaxed_reach(threshold) if mode == "relaxed" else threshold
+    w, shifts = np.stack([theta_K, theta_M]) / turn, np.array([shift, 0.0])[:, None, None]
+    found_l, found_score = np.zeros(horizons.size, np.int64), np.full(horizons.size, np.nan)
+    active, start, width = np.arange(horizons.size), 1, 256
+    while active.size:
+        ls = np.arange(start, min(start + 2 * width, horizons[active].max() + 1), 2.0)
+        for block in np.array_split(active, -(-active.size * width // 65536)):
+            bound = radius + (ls[-1] * w[:, block].max() + 1.0) * 2.0**-50
+            y = ls * w[:, block, None] + shifts
+            rows, cols = np.nonzero((np.abs(y - np.rint(y)) <= bound).all(axis=0))
+            thetas = {"theta_M": theta_M[block][rows], "theta_K": theta_K[block][rows]}
+            scores = _chunk_scores(ls[cols], GroverAngles(**thetas, gamma=None), mode)
+            hit = (scores <= threshold) & (ls[cols] <= horizons[block][rows])
+            rows, cols, scores = rows[hit], cols[hit], scores[hit]
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            found_l[block[rows[first]]] = ls[cols[first]]
+            found_score[block[rows[first]]] = scores[first]
+        start += 2 * width
+        active = active[(found_l[active] == 0) & (horizons[active] >= start)]
+        width = min(2 * width, 65536)
+    return found_l, found_score
+
+
+def _table_grid_rows(count):
+    """(theta_K, theta_M, horizons) of rows shaped like the benchmark's table input.
+
+    N log-uniform in [2^16, 2^24]; every fourth row has K/M near 1 and a
+    small K, the others K/M in (1, 5].  Horizons are the default ones.
+    """
+    rng = np.random.default_rng(53)
+    instances = []
+    for i in range(count):
+        N = int(round(2.0 ** rng.uniform(16, 24)))
+        if i % 4 == 0:
+            excess = rng.uniform(0.02, 0.04)
+            K = int(rng.integers(2, max(3, math.floor(256.0 * excess**4 * N)) + 1))
+            M = min(K - 1, max(1, round(K / (1.0 + excess) ** 2)))
+        else:
+            M = int(rng.integers(1, 201))
+            K = M + int(rng.integers(1, 4 * M + 1))
+        instances.append(make_instance(N, M, K))
+    angles = [angles_of(instance) for instance in instances]
+    return (
+        np.array([a.theta_K for a in angles]),
+        np.array([a.theta_M for a in angles]),
+        np.array([float(default_horizon(instance)) for instance in instances]),
+    )
+
+
 class TestScanRows:
-    """Batched scans, filter included, find what one whole-range array finds."""
+    """Batched scans find what one whole-range array finds."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         rows=_scan_rows_cases(),
         mode=st.sampled_from(["relaxed", "strict"]),
-        exponent=st.floats(-12.0, -0.05),
+        threshold=st.one_of(st.floats(-12.0, -0.05).map(lambda e: 10.0**e), st.floats(0.5, 0.99)),
     )
-    def test_rows_match_whole_range_scan(self, rows, mode, exponent):
+    def test_rows_match_whole_range_scan(self, rows, mode, threshold):
+        # Past a threshold of 1/2 a run covers most of a turn; a strict one
+        # of 1/2 or more accepts every l.
         angles_list, horizons = zip(*rows)
-        _assert_rows_match_reference(angles_list, 10.0**exponent, horizons, mode)
+        _assert_rows_match_reference(angles_list, threshold, horizons, mode)
 
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED + (("relaxed", 0.25),))
     def test_many_rows_split_into_blocks(self, mode, threshold, monkeypatch):
-        # More rows than a first-chunk block holds, with horizons on both sides
-        # of chunk edges and planted hits in several chunks.
+        # With rounds of at most 1024 scores or runs, a block holds at most
+        # 256 rows, so every pass over these rows crosses a block.
         rng = np.random.default_rng(43)
         angles_list, horizons = [], []
-        for i in range(3 * SCAN_CHUNK // _FIRST_CHUNK + 5):
+        for i in range(773):
             if i % 3:
                 N = int(rng.integers(1 << 10, 1 << 30))
                 K = int(rng.integers(2, N // 2))
@@ -435,17 +568,54 @@ class TestScanRows:
             else:
                 angles_list.append(_hit_at(1 + 2 * int(rng.integers(0, 4000))))
             horizons.append(1 + 2 * int(rng.integers(0, 4000)))
-        shapes = []
-        block_hits = diophantine._block_hits
-
-        def recording(ls, theta_K, *args):
-            shapes.append((theta_K.size, ls.size))
-            return block_hits(ls, theta_K, *args)
-
-        monkeypatch.setattr(diophantine, "_block_hits", recording)
+        monkeypatch.setattr(diophantine, "SCAN_CHUNK", 1 << 10)
+        ranges = _recording(monkeypatch, "_ranges")
         _assert_rows_match_reference(angles_list, threshold, horizons, mode)
-        assert max(rows * width for rows, width in shapes) == SCAN_CHUNK
-        assert len({rows for rows, _ in shapes}) > 2
+        assert max(max(start.size, count.sum()) for start, count in ranges) <= 1 << 10
+        assert ranges[0][1].size < len(angles_list)  # the first round's block of rows
+
+    def test_working_set_is_bounded(self, monkeypatch):
+        # 4000 rows like the benchmark's table input.  No round holds more
+        # than SCAN_CHUNK runs of either coordinate or scores, and smaller
+        # rounds, whose blocks split the rows, change nothing.
+        theta_K, theta_M, horizons = _table_grid_rows(4000)
+        threshold = error_bound(1.0 / 12.0)
+        expected = _linear_scan_rows(theta_K, theta_M, threshold, horizons, "relaxed")
+        for chunk in (SCAN_CHUNK, 1 << 12):
+            monkeypatch.setattr(diophantine, "SCAN_CHUNK", chunk)
+            ranges = _recording(monkeypatch, "_ranges")
+            scored = _recording(monkeypatch, "_chunk_scores")
+            found = scan_rows(theta_K, theta_M, threshold, horizons)
+            monkeypatch.undo()
+            assert b"".join(a.tobytes() for a in found) == b"".join(a.tobytes() for a in expected)
+            assert max(max(start.size, count.sum()) for start, count in ranges) <= chunk
+            assert max(ls.size for ls, *_ in scored) <= chunk
+            first_block = ranges[0][1].size  # the rows of the first round
+            assert (first_block < theta_K.size) == (chunk < SCAN_CHUNK)
+        assert (expected[0] > 0).sum() > 3000
+
+    @pytest.mark.parametrize("d_K, d_M", [(0.0016, 0.0089), (0.0026, 0.0154)])
+    def test_residues_end_at_the_horizon(self, d_K, d_M):
+        # Near pi, both strict coordinates turn by nearly a quarter turn per
+        # step of l, so the scan splits the odd l into l = 4i + 1 and 4i + 3.
+        # The first hit is in the second; a horizon below it ends that one.
+        angles = GroverAngles(theta_M=math.pi - d_M, theta_K=math.pi - d_K, gamma=None)
+        l_ref, score_ref = _reference_scan(angles, 0.01, 99999, "strict")
+        assert l_ref % 4 == 3 and l_ref > 1000
+        for horizon in (l_ref, 99999):
+            report = minimal_odd_l(angles, 0.01, horizon, "strict")
+            assert (report.l, _bits(report.score)) == (l_ref, _bits(score_ref))
+        assert not minimal_odd_l(angles, 0.01, l_ref - 2, "strict").found
+
+    def test_strict_half_turn_accepts_the_first_l(self):
+        # No circle distance exceeds 1/2, so every row hits at l = 1.
+        theta_K, theta_M, horizons = _table_grid_rows(40)
+        theta_K = np.concatenate([theta_K, [math.pi - 0.0016, math.pi / 2, 3.0]])
+        theta_M = np.concatenate([theta_M, [math.pi - 0.0089, math.pi / 2 - 1e-3, 1.0]])
+        horizons = np.concatenate([horizons, [99999.0, 99999.0, 1.0]])
+        for threshold in (0.5, 0.75):
+            found_l, _ = scan_rows(theta_K, theta_M, threshold, horizons, "strict")
+            assert (found_l == 1).all()
 
     def test_minimal_odd_l_is_the_one_row_scan(self):
         inst = make_instance(1048576, 37, 41)
@@ -489,28 +659,30 @@ ADVERSARIAL_TRIPLES = (
 def test_filter_keeps_hits_at_the_threshold(mode, triple):
     """A threshold equal to an l's exact score keeps that l, one float below drops it.
 
-    l lies just below 10^8, where a turn count carries its largest error;
-    the filtered block must find exactly the l whose unfiltered score is
-    within the threshold.
+    The l lie just below 10^8 (HORIZON_CAP) and 10^9 (reached with
+    --horizon), where a turn count carries its largest error.  A scan from
+    the first l of their window, and one from the picked l itself, find
+    exactly the first l whose score is within the threshold.
     """
     angles = angles_of(make_instance(*triple))
-    start = HORIZON_CAP - 2 * 8192 + 2
-    ls = np.arange(start, start + 2 * 8192, 2, dtype=np.float64)
-    scores = _chunk_scores(ls, angles, mode)
     rng = np.random.default_rng(47)
-    picks = np.concatenate([np.argsort(scores)[:24], rng.integers(0, ls.size, size=24)])
-    theta_K, theta_M = np.array([angles.theta_K]), np.array([angles.theta_M])
-    work = _work_arrays()
     checked = 0
-    for score in scores[picks]:
-        for threshold in (np.nextafter(score, 0.0), score, np.nextafter(score, 1.0)):
-            if not 0.0 < threshold < 1.0:
-                continue
-            rows, hit_l, hit_scores = _block_hits(
-                ls, theta_K, theta_M, np.array([ls[-1]]), float(threshold), mode, work
-            )
-            expected = np.flatnonzero(scores <= threshold)
-            assert hit_l.tolist() == ls[expected].tolist()
-            assert hit_scores.tobytes() == scores[expected].tobytes()
-            checked += 1
-    assert checked >= 100
+    for top in (HORIZON_CAP, 10**9 - 1):
+        ls = np.arange(top - 2 * 8191, top + 1, 2, dtype=np.float64)
+        scores = _chunk_scores(ls, angles, mode)
+        picks = np.concatenate([np.argsort(scores)[:10], rng.integers(0, ls.size, size=10)])
+        for pick in picks:
+            score = scores[pick]
+            for threshold in (np.nextafter(score, 0.0), score, np.nextafter(score, 1.0)):
+                if not 0.0 < threshold < 1.0:
+                    continue
+                for first in (0, pick):
+                    hits = first + np.flatnonzero(scores[first:] <= threshold)
+                    found = _window_scan(angles, threshold, int(ls[first]), top, mode)
+                    if not hits.size:
+                        assert found is None
+                    else:
+                        assert found[0] == ls[hits[0]]
+                        assert _bits(found[1]) == _bits(scores[hits[0]])
+                    checked += 1
+    assert checked >= 200

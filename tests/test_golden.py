@@ -228,6 +228,31 @@ GOLDEN = [
         0,
         "5ba0e2ee9f3e17ac7df760258fb0b8f717117e62cb34befec2ee9ca6ec2863cf",
     ),
+    # Recorded with the linear scan over every odd l, before scans stepped
+    # through the runs of each torus coordinate.  Slow orbits: a hit at
+    # l = 24627107, an exhausted default horizon at N = 2^48, and the same
+    # instance's hit at l = 556970777 past HORIZON_CAP.  The strict search
+    # exhausts 5*10^6 odd l at tol 1e-6, where runs are shorter than one l.
+    (
+        "search --N 1099511627776 --M 500 --K 501",
+        0,
+        "d19ffcfe3b446b938ca2c7c13f8802fb695d2fefa48b532f6b6bc85dfd7a5831",
+    ),
+    (
+        "search --N 281474976710656 --M 1000 --K 1001",
+        0,
+        "7c9a161291287bb78e2588c5a0cb21d90243c430e630e73bb35d97d77ad31a94",
+    ),
+    (
+        "search --N 281474976710656 --M 1000 --K 1001 --horizon 1000000001",
+        0,
+        "7094fbfa81b472685b01e5f085b5e58c208e41ff312bb96e8d602be72e0c6ba5",
+    ),
+    (
+        "search --N 1048576 --M 37 --K 41 --tol 1e-6 --mode strict --horizon 9999999",
+        0,
+        "702a1075c5f5aade6d07b43642a039aed1e0e17a1e213f858ef6231696770c63",
+    ),
 ]
 
 
