@@ -42,8 +42,6 @@ from .stopping_rule import (
     Applicability,
     CertificateReport,
     DegenerateM,
-    GammaTooLarge,
-    NotApplicable,
     StoppingRule,
     certify,
     check_applicability,

@@ -45,13 +45,11 @@ from .diophantine import (
 from .statevector import RNG_ALGORITHM, run_discrimination
 from .stopping_rule import (
     DEFAULT_EPSILON,
-    GammaTooLarge,
-    NotApplicable,
+    Applicability,
     certified_rules,
     certify,
     check_applicability,
     construct_rule,
-    require_applicable,
 )
 from .transforms import (
     applicability_flags,
@@ -167,16 +165,33 @@ def _json_dump(obj: Any) -> str:
 
 
 def _parse_range(spec: str) -> range:
-    """START:STOP[:STEP] with inclusive STOP, or a single integer."""
+    """START:STOP[:STEP] with inclusive STOP and STEP >= 1, or a single integer.
+
+    A range with no values is an input error.
+    """
     parts = spec.split(":")
-    if len(parts) == 1:
-        start = int(parts[0])
-        return range(start, start + 1)
-    if len(parts) == 2:
-        return range(int(parts[0]), int(parts[1]) + 1)
-    if len(parts) == 3:
-        return range(int(parts[0]), int(parts[1]) + 1, int(parts[2]))
-    raise ValueError(f"bad range spec {spec!r}; expected START:STOP[:STEP]")
+    if len(parts) > 3:
+        raise ValueError(f"bad range spec {spec!r}; expected START:STOP[:STEP]")
+    start = int(parts[0])
+    stop = int(parts[1]) if len(parts) > 1 else start
+    step = int(parts[2]) if len(parts) > 2 else 1
+    if step < 1:
+        raise ValueError(f"range {spec!r}: STEP must be >= 1")
+    values = range(start, stop + 1, step)
+    if not values:
+        raise ValueError(f"range {spec!r} holds no values")
+    return values
+
+
+def _refusal(app: Applicability) -> tuple[str, str] | None:
+    """(reason, error) for the first applicability flag that fails, or None."""
+    if not app.ordering_ok:
+        return "ordering", "applicability flag failed: ordering"
+    if not app.size_condition_ok:
+        return "size_condition", "applicability flag failed: size_condition"
+    if not app.gamma_small_ok:
+        return "gamma_too_large", "gamma - 1 > 1/4; retry with best_effort or search"
+    return None
 
 
 def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
@@ -195,14 +210,11 @@ def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
         report["search"] = asdict(search)
         return EXIT_OK, _json_dump(report)
     report["path"] = "constructive"
-    try:
-        if not args.best_effort:
-            require_applicable(app)
-    except (NotApplicable, GammaTooLarge) as exc:
-        report["reason"] = exc.reason
-        report["error"] = str(exc)
+    refusal = None if args.best_effort else _refusal(app)
+    if refusal:
+        report["reason"], report["error"] = refusal
         return EXIT_NOT_APPLICABLE, _json_dump(report)
-    rule = construct_rule(instance, best_effort=True)
+    rule = construct_rule(instance)
     report["rule"] = asdict(rule)
     report["certificate"] = asdict(certify(rule, instance, args.epsilon))
     return EXIT_OK, _json_dump(report)
@@ -321,8 +333,6 @@ def _table_triples(args: argparse.Namespace) -> Iterator[tuple[int, int, int]]:
         triples = _read_triples(args.triples)
     elif args.N_range and args.M_range and args.K_range:
         ranges = [_parse_range(spec) for spec in (args.N_range, args.M_range, args.K_range)]
-        if not all(ranges):
-            raise ValueError("empty grid")
         triples = _grid_corners(*ranges)
     else:
         raise ValueError("provide --triples or all of --N-range/--M-range/--K-range")

@@ -187,11 +187,18 @@ def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
 def error_bound(epsilon: float) -> float:
     """sin^2(2*pi*epsilon), the failure probability an epsilon-neighborhood allows.
 
-    The one place epsilon is validated: it must be finite and lie in (0, 1).
+    The one place epsilon is validated: it must be finite and lie in (0, 1),
+    and its bound must not round to 0, which no failure probability is below,
+    or to 1, which all but an exact 1 are below (as at 1e-320, 0.25, 0.75).
     """
     if not 0.0 < epsilon < 1.0:  # also false for NaN
         raise ValueError(f"epsilon must be finite and lie in (0, 1), got {epsilon}")
-    return math.sin(2.0 * math.pi * epsilon) ** 2
+    bound = math.sin(2.0 * math.pi * epsilon) ** 2
+    if not 0.0 < bound < 1.0:
+        raise ValueError(
+            f"epsilon={epsilon} rounds the error bound sin^2(2*pi*epsilon) to {bound}"
+        )
+    return bound
 
 
 def chebyshev_T(l: int, x: float) -> float:

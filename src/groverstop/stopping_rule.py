@@ -1,18 +1,20 @@
 """Constructive stopping rule for the M-vs-K discrimination problem.
 
-Given a triple with 0 < M < K < N/2, small gamma = theta_K/theta_M, and the
-size condition sqrt(K) < 16*(gamma-1)^2*sqrt(N), there is an odd iteration
-count l = p*s with
+For a triple with M > 0, gamma = theta_K/theta_M, p the nearest odd integer
+to 1/(4*(gamma-1)) and s the nearest odd integer to 4*pi/theta_M, the rule
+is the odd iteration count l = p*s.  When 0 < M < K < N/2, gamma - 1 <= 1/4
+and the size condition sqrt(K) < 16*(gamma-1)^2*sqrt(N) hold, the paper's
+theorem says that
 
     |l*theta_K/(4*pi) - p - 1/4| < 2*(gamma - 1)
     |l*theta_M/(4*pi) - p|       <    gamma - 1
     l <= 4*sqrt(N)/(sqrt(K) - sqrt(M))
 
-where p is the nearest odd integer to 1/(4*(gamma-1)) and s the nearest odd
-integer to 4*pi/theta_M.  This module builds that rule and certifies the
-inequalities numerically, for one instance (``construct_rule``, ``certify``)
-or a column of them (``certified_rules``) with the same elementwise
-formulas.  All inequality checks are exact floating-point
+Those premises (``check_applicability``) do not stop the rule from being
+built.  This module builds it for every M > 0 and certifies the
+inequalities numerically, for one instance (``construct_rule``,
+``certify``) or a column of them (``certified_rules``) with the same
+elementwise formulas.  All inequality checks are exact floating-point
 comparisons: the bounds have real slack at desk scale and hidden tolerances
 would mask regressions.
 """
@@ -32,9 +34,7 @@ __all__ = [
     "Applicability",
     "StoppingRule",
     "CertificateReport",
-    "NotApplicable",
     "DegenerateM",
-    "GammaTooLarge",
     "DEFAULT_EPSILON",
     "check_applicability",
     "gamma_upper_bound",
@@ -47,25 +47,8 @@ __all__ = [
 DEFAULT_EPSILON = 1.0 / 12.0
 
 
-class NotApplicable(ValueError):
-    """The instance fails an applicability flag and strict mode was requested.
-
-    ``reason`` names the first failed flag: ``ordering`` or ``size_condition``.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"applicability flag failed: {reason}")
-        self.reason = reason
-
-
 class DegenerateM(ValueError):
     """M = 0: gamma is undefined; use the plain-Grover search path instead."""
-
-
-class GammaTooLarge(ValueError):
-    """gamma - 1 > 1/4, outside the construction's assumed range (strict mode)."""
-
-    reason = "gamma_too_large"
 
 
 @dataclass(frozen=True)
@@ -143,14 +126,6 @@ def check_applicability(instance: ProblemInstance) -> Applicability:
     )
 
 
-def require_applicable(app: Applicability) -> None:
-    """Raise what a strict ``construct_rule`` raises for these flags, if anything."""
-    if not (app.ordering_ok and app.size_condition_ok):
-        raise NotApplicable("ordering" if not app.ordering_ok else "size_condition")
-    if not app.gamma_small_ok:
-        raise GammaTooLarge("gamma - 1 > 1/4; retry with best_effort or search")
-
-
 def gamma_upper_bound(instance: ProblemInstance) -> float:
     """Certified strict upper bound sqrt(2)*(sqrt(K/M) - 1) on gamma - 1."""
     if instance.M == 0:
@@ -170,19 +145,16 @@ def nearest_odd(x):
     return odd.astype(np.int64) if array else odd
 
 
-def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> StoppingRule:
+def construct_rule(instance: ProblemInstance) -> StoppingRule:
     """Build the stopping rule (p, s, l, m) with its inequality residuals.
 
-    Strict mode (the default) demands every applicability flag; best-effort
-    emits the construction regardless and leaves judgment to ``certify``.
-    M = 0 is always refused: the construction needs gamma.
+    Built whatever ``check_applicability`` says; ``certify`` judges the
+    result.  M = 0 is refused: the construction needs gamma.
     """
     if instance.M == 0:
         raise DegenerateM(
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
-    if not best_effort:
-        require_applicable(check_applicability(instance))
     bounds = iteration_bound(instance)
     p, s, l, residual_K, residual_M = rule_terms(angles_of(instance))
     return StoppingRule(
@@ -198,7 +170,7 @@ def construct_rule(instance: ProblemInstance, best_effort: bool = False) -> Stop
 
 
 def rule_terms(angles: GroverAngles):
-    """(p, s, l, residual_K, residual_M) of the best-effort rule, for M > 0.
+    """(p, s, l, residual_K, residual_M) of the rule, for M > 0.
 
     Elementwise when the angles hold arrays, with int64 p, s and l.  Inside
     the envelope l stays below 2**50, so it converts to a double exactly, as a
@@ -269,10 +241,10 @@ def error_flags(fail_K, fail_M, bound):
 def certified_rules(rows, angles: GroverAngles, l_bound, epsilon: float):
     """(rows, p, s, l, failure pairs) of the certified rules among the given rows.
 
-    ``construct_rule(best_effort=True)`` and ``certify`` over columns of
-    angles and l_bound, for the given rows, which must have M > 0.  The
-    failure pair comes from libm, as in ``certify``, and only for the rules
-    that pass every flag that needs no trig.
+    ``construct_rule`` and ``certify`` over columns of angles and l_bound,
+    for the given rows, which must have M > 0.  The failure pair comes from
+    libm, as in ``certify``, and only for the rules that pass every flag that
+    needs no trig.
     """
     angles = GroverAngles(
         theta_M=angles.theta_M[rows], theta_K=angles.theta_K[rows], gamma=angles.gamma[rows]

@@ -146,7 +146,8 @@ def test_criterion_4_monte_carlo_reproduction():
     details = []
     for N, M, K in instances:
         inst = make_instance(N, M, K)
-        rule = construct_rule(inst)  # all flags hold for these fixtures
+        assert check_applicability(inst).all_ok
+        rule = construct_rule(inst)
         cert = certify(rule, inst, epsilon=2 * (angles_of(inst).gamma - 1))
         ok &= cert.residual_K_ok and cert.residual_M_ok and cert.l_within_bound
         fails = failure_probabilities(rule.l, angles_of(inst))
@@ -183,7 +184,7 @@ def test_criterion_6_successor_regime():
     ok = bool(ms)
     for M in ms:
         inst = make_instance(N, M, M + 1)
-        rule = construct_rule(inst, best_effort=True)
+        rule = construct_rule(inst)
         excess = angles_of(inst).gamma - 1.0
         ok &= check_applicability(inst).size_condition_ok
         ok &= rule.residual_K < 2.0 * excess and rule.residual_M < excess
@@ -197,6 +198,7 @@ def test_criterion_7_padding_chain():
     padded = pad_for_ratio(1, N, a=2.0, epsilon=1.0 / 12.0)
     ok = padded.r == 16
     inst = padded.padded
+    assert check_applicability(inst).all_ok
     rule = construct_rule(inst)
     cert = certify(rule, inst, 1.0 / 12.0)
     ok &= cert.certified

@@ -53,6 +53,28 @@ class TestRuleCommand:
         assert code == 2
         assert json.loads(out)["reason"] == "ordering"
 
+    @pytest.mark.parametrize(
+        "N, M, K, reason, error",
+        [
+            ("100", "1", "60", "ordering", "applicability flag failed: ordering"),
+            ("1048576", "740", "800", "size_condition",
+             "applicability flag failed: size_condition"),
+            ("1000000", "1", "2", "gamma_too_large",
+             "gamma - 1 > 1/4; retry with best_effort or search"),
+        ],
+    )
+    def test_refusal_names_first_failed_flag(self, capsys, N, M, K, reason, error):
+        argv = ["rule", "--N", N, "--M", M, "--K", K]
+        code, out = run_cli(capsys, *argv)
+        report = json.loads(out)
+        assert (code, report["reason"], report["error"]) == (2, reason, error)
+        assert "rule" not in report and "certificate" not in report
+        code, out = run_cli(capsys, *argv, "--best-effort")
+        report = json.loads(out)
+        assert code == 0 and "reason" not in report and "error" not in report
+        instance = make_instance(int(N), int(M), int(K))
+        assert report["rule"] == asdict(construct_rule(instance))
+
     def test_plain_grover_path(self, capsys):
         code, out = run_cli(capsys, "rule", "--N", "4", "--M", "0", "--K", "1")
         assert code == 0
@@ -221,6 +243,7 @@ class TestTableCommand:
         monkeypatch.setattr(cli, "scan_rows", missed)
         row = TableRow(*build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0])
         instance = make_instance(65536, 12, 13)
+        assert check_applicability(instance).all_ok
         rule = construct_rule(instance)
         cert = certify(rule, instance, 1.0 / 12.0)
         fails = failure_probabilities(rule.l, angles_of(instance))
@@ -399,7 +422,8 @@ class TestJsonKeys:
 class TestBadInputIsExitOne:
     """Out-of-range or non-finite input exits 1 and writes nothing to stdout."""
 
-    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0", "1", "inf"])
+    # 0.25 and 1e-320 lie in (0, 1), but their error bounds round to 1 and 0.
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0", "1", "inf", "0.25", "1e-320"])
     def test_rule_epsilon(self, capsys, epsilon):
         code, out = run_cli(
             capsys, "rule", "--N", "4096", "--M", "8", "--K", "9", "--epsilon", epsilon
@@ -456,23 +480,58 @@ class TestBadInputIsExitOne:
     # The grids below hold no valid triple, so a bad flag is the only error.
     @pytest.mark.parametrize(
         "flag, value", [("--epsilon", "2"), ("--epsilon", "nan"), ("--horizon", "-3"),
-                        ("--horizon", "0")]
+                        ("--horizon", "0"), ("--epsilon", "0.25"), ("--epsilon", "1e-320")]
     )
     def test_table_every_triple_skipped(self, capsys, flag, value):
-        code, out = run_cli(
-            capsys, "table", "--N-range", "10", "--M-range", "5", "--K-range", "1", flag, value
-        )
-        assert (code, out) == (1, "")
+        code = main(["table", "--N-range", "10", "--M-range", "5", "--K-range", "1", flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert flag.lstrip("-") in captured.err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--epsilon", "2"), ("--horizon", "-3"), ("--horizon", "0")]
+        "flag, value", [("--epsilon", "2"), ("--horizon", "-3"), ("--horizon", "0"),
+                        ("--epsilon", "0.25"), ("--epsilon", "1e-320")]
     )
     def test_diagnose_every_pair_skipped(self, capsys, flag, value):
-        code, out = run_cli(
-            capsys, "diagnose", "--N", "10", "--M-range", "5:5", "--K-range", "1:1",
+        code = main([
+            "diagnose", "--N", "10", "--M-range", "5:5", "--K-range", "1:1",
             "--threshold", "1", flag, value,
-        )
-        assert (code, out) == (1, "")
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert flag.lstrip("-") in captured.err
+
+    # A negative or zero STEP, or a range with no values, in either command.
+    @pytest.mark.parametrize("spec", ["8:1:-1", "1:8:-1", "1:8:0", "8:4", "8:4:2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["table", "--N-range", "4096", "--K-range", "12:16"],
+            ["diagnose", "--N", "4096", "--K-range", "12:16", "--threshold", "1"],
+        ],
+        ids=["table", "diagnose"],
+    )
+    def test_bad_range_spec(self, capsys, command, spec):
+        code = main([*command, "--M-range", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"groverstop: error: range {spec!r}")
+
+    @pytest.mark.parametrize("epsilon", ["0.25", "0.75", "1e-320"])
+    def test_degenerate_epsilon_everywhere(self, capsys, epsilon):
+        commands = [
+            "rule --N 65536 --M 12 --K 13",
+            "rule --N 4 --M 0 --K 1",
+            "experiment --N 4096 --M 8 --K 12 --l 79 --trials 10 --seed 1",
+            "pad --M 1 --N 1048576",
+            "table --N-range 4096 --M-range 8 --K-range 12",
+            "diagnose --N 4096 --M-range 1:4 --K-range 2:8 --threshold 1",
+        ]
+        for command in commands:
+            code = main([*command.split(), "--epsilon", epsilon])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, ""), command
+            assert captured.err.startswith(f"groverstop: error: epsilon={epsilon}"), command
 
     def test_table_horizon_rejected_for_certified_rule(self, capsys):
         # The scan horizon is raised to the certified rule's l, which used to
@@ -613,7 +672,7 @@ def _reference_row(N, M, K, epsilon, horizon):
     )
     scan_horizon = default_horizon(instance) if horizon is None else horizon
     if M > 0:
-        rule = construct_rule(instance, best_effort=True)
+        rule = construct_rule(instance)
         certificate = certify(rule, instance, epsilon)
         if certificate.certified:
             row.p, row.s, row.l_constructive = rule.p, rule.s, rule.l
@@ -655,7 +714,7 @@ class TestColumnarTable:
         for N, M, K in triples:
             if M > 0:
                 instance = make_instance(N, M, K)
-                report = certify(construct_rule(instance, best_effort=True), instance)
+                report = certify(construct_rule(instance), instance)
                 trig_rows += all(getattr(report, flag) for flag in self.TRIG_FREE_FLAGS)
         assert 0 < trig_rows < len(triples)
         per_instance = {f.__name__: _count_calls(monkeypatch, f) for f in self.PER_INSTANCE}

@@ -137,7 +137,7 @@ class TestFailureProbabilities:
     def test_constructed_rule_matches_high_precision(self):
         # Oracle: same trig expressions at 50 decimal digits.
         inst = make_instance(10**6, 1, 2)
-        rule = construct_rule(inst, best_effort=True)
+        rule = construct_rule(inst)
         pair = failure_probabilities(rule.l, angles_of(inst))
         mp.mp.dps = 50
         thM = 2 * mp.asin(mp.sqrt(mp.mpf(1) / 10**6))
@@ -220,9 +220,14 @@ class TestErrorBound:
         for eps in (0.01, 0.1, 0.3, 0.9):
             assert error_bound(eps) == math.sin(2.0 * math.pi * eps) ** 2
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    # The last five lie in (0, 1), but their bounds round to 1 or to 0.
+    @pytest.mark.parametrize(
+        "bad",
+        [-1.0, 0.0, 1.0, 1.5, math.nan, math.inf, -math.inf, 0.25, 0.75, 0.2500000001,
+         1e-320, 1e-170],
+    )
     def test_rejects_out_of_range_and_non_finite(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="epsilon"):
             error_bound(bad)
 
 

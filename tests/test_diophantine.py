@@ -151,7 +151,7 @@ class TestMinimalOddL:
     def test_regression_value_large_db(self):
         # Fixture recorded from the exhaustive scan itself.
         inst = make_instance(10**6, 1, 2)
-        rule = construct_rule(inst, best_effort=True)
+        rule = construct_rule(inst)
         report = minimal_odd_l(angles_of(inst), 0.25, rule.l)
         assert report.found
         assert report.l == 2963

@@ -14,6 +14,7 @@ import groverstop
 
 MODULES = ("cli", "core_model", "diophantine", "statevector", "stopping_rule", "transforms")
 RETIRED = ("TorusPoint", "torus_point", "strict_distance", "relaxed_score")
+RETIRED_STRICT_RULE = ("NotApplicable", "GammaTooLarge", "require_applicable")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,3 +45,11 @@ def test_retired_point_api_is_gone(name):
     assert not hasattr(groverstop, name)
     assert not hasattr(diophantine, name)
     assert name not in diophantine.__all__
+
+
+@pytest.mark.parametrize("name", RETIRED_STRICT_RULE)
+def test_retired_strict_rule_api_is_gone(name):
+    stopping_rule = importlib.import_module("groverstop.stopping_rule")
+    assert not hasattr(groverstop, name)
+    assert not hasattr(stopping_rule, name)
+    assert name not in stopping_rule.__all__

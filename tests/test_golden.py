@@ -161,9 +161,33 @@ GOLDEN = [
         2,
         "6e223c37aa9a6a85c1f72621b0a436c267254ee7400e5306fe6eb7cb7fd46590",
     ),
+    # Recorded while construct_rule still had a strict mode: the ordering
+    # refusal and its --best-effort override, the size-condition refusal
+    # overridden, and the plain-Grover path of M = 0.
+    (
+        "rule --N 100 --M 1 --K 60",
+        2,
+        "5d8a80247744bb257d05bf209a149e40b0383d121eb4221123d1345eef15738f",
+    ),
+    (
+        "rule --N 100 --M 1 --K 60 --best-effort",
+        0,
+        "581231e3036d02b42a31b365cbc7a4b8452ff3e88c43a9ec0a0284c5c6ebd046",
+    ),
+    (
+        "rule --N 1048576 --M 740 --K 800 --best-effort",
+        0,
+        "b7bef7c1f1de27f28f3fbf4a8818ffee593021a7bb07616f2244c180cfb66bd7",
+    ),
+    (
+        "rule --N 4 --M 0 --K 1",
+        0,
+        "74a0bf6dea9c74dd56470ba27daedf551a60fc6840c6c2171671ea8c16c170df",
+    ),
     # No README command reaches these paths: a strict scan that exhausts its
-    # horizon (127857), a relaxed hit at l = 4995677 deep in the 65536-wide
-    # chunks, and the --reduced and JSON table emitters.
+    # horizon (127857), a relaxed hit at l = 4995677, recorded while scans
+    # still ran through 65536-wide chunks of odd l, and the --reduced and
+    # JSON table emitters.
     (
         "search --N 1048576 --M 37 --K 41 --tol 1e-6 --mode strict",
         0,

@@ -483,8 +483,9 @@ class TestRunDiscrimination:
 
     def test_matches_closed_form_within_4_sigma(self):
         inst = make_instance(1024, 8, 12)
-        from groverstop import construct_rule
+        from groverstop import check_applicability, construct_rule
 
+        assert check_applicability(inst).all_ok
         rule = construct_rule(inst)
         fails = failure_probabilities(rule.l, angles_of(inst))
         trials = 4000

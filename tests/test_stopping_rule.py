@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from groverstop import (
     DegenerateM,
-    GammaTooLarge,
-    NotApplicable,
     angles_of,
     certify,
     check_applicability,
@@ -117,28 +115,13 @@ class TestConstructRule:
 
         p_expect = oracle_nearest_odd(1 / (4 * (gamma - 1)))
         s_expect = oracle_nearest_odd(4 * mp.pi / thM)
-        rule = construct_rule(make_instance(10**6, 1, 2), best_effort=True)
+        rule = construct_rule(make_instance(10**6, 1, 2))
         assert (rule.p, rule.s, rule.l) == (p_expect, s_expect, p_expect * s_expect)
         assert rule.m == (rule.l - 1) // 2
-
-    def test_not_applicable_strict(self):
-        for N, M, K, reason in [(100, 1, 60, "ordering"), (1 << 20, 740, 800, "size_condition")]:
-            with pytest.raises(NotApplicable) as exc:
-                construct_rule(make_instance(N, M, K))
-            assert exc.value.reason == reason
-            assert str(exc.value) == f"applicability flag failed: {reason}"
-
-    def test_gamma_too_large_strict(self):
-        with pytest.raises(GammaTooLarge) as exc:
-            construct_rule(make_instance(10**6, 1, 2))
-        assert exc.value.reason == "gamma_too_large"
-        assert str(exc.value) == "gamma - 1 > 1/4; retry with best_effort or search"
 
     def test_degenerate_m(self):
         with pytest.raises(DegenerateM):
             construct_rule(make_instance(4, 0, 1))
-        with pytest.raises(DegenerateM):
-            construct_rule(make_instance(4, 0, 1), best_effort=True)
 
     def test_inequalities_on_applicable_sweep(self):
         rng = np.random.default_rng(17)
@@ -156,7 +139,7 @@ class TestConstructRule:
 class TestCertify:
     def test_default_epsilon_threshold_is_quarter(self):
         inst = make_instance(1 << 20, 740, 800)
-        rule = construct_rule(inst, best_effort=True)
+        rule = construct_rule(inst)
         cert = certify(rule, inst, 1.0 / 12.0)
         assert cert.error_bound == pytest.approx(0.25, abs=1e-15)
 
@@ -176,6 +159,7 @@ class TestCertify:
 
     def test_even_l_flagged(self):
         inst = make_instance(1 << 12, 8, 12)
+        assert check_applicability(inst).all_ok
         rule = construct_rule(inst)
         broken = StoppingRule(
             p=rule.p,
@@ -198,6 +182,7 @@ class TestCertify:
             app = asdict(check_applicability(inst))
             flags = app["ordering_ok"] and app["size_condition_ok"] and app["gamma_small_ok"]
             assert app["all_ok"] == flags == all_ok
+        assert check_applicability(applicable).all_ok
         rule = construct_rule(applicable)
         broken = StoppingRule(**{**asdict(rule), "l": rule.l + 1})
         checks = ("l_odd", "residual_K_ok", "residual_M_ok", "epsilon_covers_gamma",
@@ -208,6 +193,7 @@ class TestCertify:
 
     def test_certify_m_zero_refused(self):
         inst = make_instance(1 << 12, 8, 12)
+        assert check_applicability(inst).all_ok
         rule = construct_rule(inst)
         with pytest.raises(DegenerateM):
             certify(rule, make_instance(4, 0, 1))
@@ -215,5 +201,6 @@ class TestCertify:
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1.0, math.nan, math.inf])
     def test_certify_rejects_bad_epsilon(self, epsilon):
         inst = make_instance(1 << 12, 8, 12)
+        assert check_applicability(inst).all_ok
         with pytest.raises(ValueError, match="epsilon"):
             certify(construct_rule(inst), inst, epsilon)
