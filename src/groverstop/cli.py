@@ -19,8 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
-from itertools import chain, compress
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -33,6 +32,7 @@ from .core_model import (
     failure_probabilities,
     make_instance,
     rotation_angles,
+    valid_counts,
 )
 from .diophantine import (
     default_horizon,
@@ -51,12 +51,7 @@ from .stopping_rule import (
     check_applicability,
     construct_rule,
 )
-from .transforms import (
-    applicability_flags,
-    l_bound_of,
-    pad_for_ratio,
-    reduce_common_divisor,
-)
+from .transforms import applicability_flags, l_bound_of, pad_for_ratio
 
 __all__ = ["main", "entry", "TABLE_FIELDS", "TableRow"]
 
@@ -111,45 +106,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CELL_FORMAT = {int: "%d", float: "%.17g"}
-
-# A cell's key: 0 for None, 1 for True, 2 for False, None for any other value.
-# An int or float equal to 1 or 0 gets True's or False's key; its column's type
-# still decides its format, so that only caches a few more formats.
-_cell_key = {None: 0, True: 1, False: 2}.get
+# A cell's part of its row's pattern, two bits per column.
+_NUMBER, _TRUE, _FALSE, _NONE = range(4)
 
 
-def _row_format(columns: Sequence[tuple[str, type]], key: tuple) -> tuple[str, tuple]:
-    """The %-format of rows with this key, and which of their cells it takes."""
-    specs, takes = [], []
-    for (_, kind), cell in zip(columns, key):
-        if cell == 0:
+def _row_format(columns: Sequence[tuple[str, type]], pattern: int) -> tuple[str, list[int]]:
+    """The %-format of rows with this pattern, and the columns whose cells it takes."""
+    specs, present = [], []
+    for i, (_, kind) in enumerate(columns):
+        cell = pattern >> 2 * i & 3
+        if cell == _NONE:
             spec = ""
         elif kind is bool:
-            spec = "true" if cell == 1 else "false"
+            spec = "true" if cell == _TRUE else "false"
         else:
             spec = _CELL_FORMAT[kind]
+            present.append(i)
         specs.append(spec)
-        takes.append(spec.startswith("%"))
-    return ",".join(specs), tuple(takes)
+    return ",".join(specs), present
 
 
-def _csv_text(columns: Sequence[tuple[str, type]], rows: Iterable[Sequence[Any]]) -> str:
-    """CSV of rows whose cells are None or of their column's type: int, float or bool.
+def _csv_text(columns: Sequence[tuple[str, type]], cells: Sequence[np.ndarray]) -> str:
+    """CSV of columns whose cells are None or of their column's type: int, float or bool.
 
-    Each row is written by one %-format, chosen by which of its cells are None
-    and by its bool cells, and built once per choice.  No cell holds a comma,
-    quote or newline, so none needs quoting.
+    ``cells`` holds one array per column; only an object array holds None.
+    Each row is written by one %-format, chosen by its pattern (which of its
+    cells are None, and its bool cells) and built once per pattern.  The rows
+    of a pattern are formatted together from their present cells, in place.
+    No cell holds a comma, quote or newline, so none needs quoting.
     """
-    formats: dict[tuple, tuple[str, tuple]] = {}
-    lines = [",".join(name for name, _ in columns)]
-    for row in rows:
-        # (*...,) builds each tuple at its final size.  tuple() of an iterator
-        # resizes a guess, which moves tuples between CPython's per-size free
-        # lists until one holds 2000 of them: 0.3 MiB more peak RSS on 4000 rows.
-        key = (*map(_cell_key, row),)
-        fmt, takes = formats.get(key) or formats.setdefault(key, _row_format(columns, key))
-        lines.append(fmt % (*compress(row, takes),))
-    return "\n".join(lines) + "\n"
+    n = len(cells[0])
+    patterns = np.zeros(n, dtype=np.int64)
+    for i, ((_, kind), column) in enumerate(zip(columns, cells)):
+        key = np.where(np.equal(column, True), _TRUE, _FALSE) if kind is bool else _NUMBER
+        if column.dtype == object:
+            key = np.where(np.equal(column, None), _NONE, key)
+        patterns |= np.left_shift(key, 2 * i)
+    lines = np.empty(n, dtype=object)
+    distinct, which = np.unique(patterns, return_inverse=True)
+    for group, pattern in enumerate(distinct.tolist()):
+        rows = np.flatnonzero(which == group)
+        fmt, present = _row_format(columns, pattern)
+        args = zip(*[cells[i][rows].tolist() for i in present]) if present else repeat(())
+        lines[rows] = np.fromiter(map(fmt.__mod__, args), dtype=object, count=rows.size)
+    return "\n".join([",".join(name for name, _ in columns), *lines.tolist()]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -236,36 +236,29 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[int, str]:
     x_K, x_M = orbit_coords(ls, angles)
     distance = target_distance(x_K, x_M)
     scores = np.maximum(*failure_kernel(ls, angles))
-    rows = zip(ls.tolist(), x_K.tolist(), x_M.tolist(), distance.tolist(), scores.tolist())
-    return EXIT_OK, _csv_text(_ORBIT_COLUMNS, rows)
+    return EXIT_OK, _csv_text(_ORBIT_COLUMNS, [ls, x_K, x_M, distance, scores])
 
 
 def build_table_rows(
-    triples: Iterable[tuple[int, int, int]], epsilon: float, horizon: int | None = None
-) -> list[tuple]:
-    """Table rows, as tuples in ``TABLE_FIELDS`` order.
+    counts: np.ndarray, epsilon: float, horizon: int | None = None
+) -> list[np.ndarray]:
+    """The table's columns, in ``TABLE_FIELDS`` order, for the counts' triples.
 
-    Each triple is validated by ``make_instance``.  Then each column is
-    computed across all rows at once, by the elementwise formulas that the
-    instance-level functions call, and the scans of all rows run together.
-    The transcendentals come from libm, one call per row: asin for the
-    angles, and cos and sin for the rules that pass every other certificate
-    flag.  The failure pair is the array ``failure_kernel``'s at l_minimal,
-    else the certified rule's.
+    ``counts`` holds the validated int64 columns N, M, K, as ``_triple_columns``
+    returns them.  Each column is computed across all rows at once, by the
+    elementwise formulas that the instance-level functions call, and the scans
+    of all rows run together.  The transcendentals come from libm, one call
+    per row: asin for the angles, and cos and sin for the rules that pass
+    every other certificate flag.  The failure pair is the array
+    ``failure_kernel``'s at l_minimal, else the certified rule's.  A column
+    whose cells may be None is an object array of Python numbers.
     """
-    # Flat, so the tuples die one at a time: CPython keeps up to 2000 freed
-    # tuples of each size, and a list of them all would fill that free list
-    # and hold its memory for the life of the process.
-    N, M, K, ordering_ok = np.fromiter(
-        chain.from_iterable(_COUNTS(make_instance(*triple)) for triple in triples),
-        dtype=np.int64,
-    ).reshape(-1, 4).T
+    N, M, K = counts
     n, bound = N.size, error_bound(epsilon)
     angles = rotation_angles(N, M, K)
     l_bound = l_bound_of(N, M, K)
-    applicable = ordering_ok.astype(bool) & np.logical_and(
-        *applicability_flags(N, K, angles.gamma)
-    )
+    # The ordering flag is ProblemInstance.strict_regime, M < K < N/2.
+    applicable = (2 * K < N) & np.logical_and(*applicability_flags(N, K, angles.gamma))
     ruled = np.flatnonzero(M > 0)
     at, p, s, l, fails = certified_rules(ruled, angles, l_bound, epsilon)
     horizons = horizon_for_bound(l_bound) if horizon is None else np.full(n, horizon)
@@ -279,16 +272,12 @@ def build_table_rows(
         GroverAngles(theta_M=angles.theta_M[hits], theta_K=angles.theta_K[hits], gamma=None),
     )
     paired = np.flatnonzero(~np.isnan(fail_K))
-    columns = [
+    return [
         N, M, K, angles.theta_M, angles.theta_K, _cells(n, ruled, angles.gamma[ruled]),
         applicable, _cells(n, at, p), _cells(n, at, s), _cells(n, at, l),
         _cells(n, hits, found[hits]), l_bound,
         _cells(n, paired, fail_K[paired]), _cells(n, paired, fail_M[paired]),
     ]
-    return list(zip(*[column.tolist() for column in columns]))
-
-
-_COUNTS = attrgetter("N", "M", "K", "strict_regime")
 
 
 def _cells(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -303,18 +292,47 @@ def _grid_corners(ns: range, ms: range, ks: range) -> Iterator[tuple[int, int, i
     return ((n, m, k) for n in ns for m in ms for k in ks if 0 <= m < k <= n)
 
 
-def _read_triples(path: str) -> Iterator[tuple[int, int, int]]:
-    """The 'N M K' rows of a file, as written; a file with none is an input error."""
-    empty = True
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                empty = False
-                n, m, k = (int(tok) for tok in line.replace(",", " ").split())
-                yield n, m, k
-    if empty:
+def _read_triples(path: str) -> list[list[str]]:
+    """The tokens of each 'N M K' line of a file; a file with none is an input error.
+
+    Blank lines and lines that start with '#' are skipped, commas count as
+    spaces, and a leading byte-order mark is dropped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = [
+            line.replace(",", " ").split()
+            for line in map(str.strip, fh)
+            if line and not line.startswith("#")
+        ]
+    if not rows:
         raise ValueError("empty grid")
+    return rows
+
+
+def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
+    """The validated int64 columns N, M, K of rows of three integers, in row order.
+
+    Each row must hold exactly three values, each taken by ``int()``.  The
+    first bad row, malformed or invalid, is the input error: a malformed row
+    raises its parse error, an invalid one ``make_instance``'s.  Validity is
+    judged on Python ints, so a value outside int64 is an invalid row too.
+    """
+    values: list[int] = []
+    malformed = None
+    for row in rows:
+        try:
+            n, m, k = map(int, row)
+        except ValueError as exc:
+            malformed = exc
+            break
+        values += n, m, k
+    counts = np.array(values, dtype=object).reshape(-1, 3).T
+    valid = valid_counts(*counts)
+    if not valid.all():
+        make_instance(*counts[:, valid.argmin()])  # raises the first invalid row's error
+    if malformed:
+        raise malformed
+    return counts.astype(np.int64)
 
 
 def _check_horizon(horizon: int | None) -> None:
@@ -322,38 +340,35 @@ def _check_horizon(horizon: int | None) -> None:
         raise ValueError(f"--horizon must be >= 1, got {horizon}")
 
 
-def _table_triples(args: argparse.Namespace) -> Iterator[tuple[int, int, int]]:
-    """Every --triples row, or the valid corners of the range product.
+def _table_counts(args: argparse.Namespace) -> np.ndarray:
+    """The columns N, M, K of every --triples row, or of the valid corners of the range product.
 
-    Each row goes on to ``make_instance``, so a bad one is an input error,
-    while a product's invalid corners are skipped.  With --reduced, only the
-    first triple of each scaled family is kept.
+    A bad --triples row is an input error, while a product's invalid corners
+    are skipped.  With --reduced, only the first triple of each scaled family
+    is kept.
     """
     if args.triples:
-        triples = _read_triples(args.triples)
+        counts = _triple_columns(_read_triples(args.triples))
     elif args.N_range and args.M_range and args.K_range:
         ranges = [_parse_range(spec) for spec in (args.N_range, args.M_range, args.K_range)]
-        triples = _grid_corners(*ranges)
+        counts = _triple_columns(_grid_corners(*ranges))
     else:
         raise ValueError("provide --triples or all of --N-range/--M-range/--K-range")
-    seen_scaled: set[tuple[int, int, int]] = set()
-    for n, m, k in triples:
-        if args.reduced:
-            key = reduce_common_divisor(m, k, n)
-            if key in seen_scaled:
-                continue
-            seen_scaled.add(key)
-        yield n, m, k
+    if args.reduced:
+        _, first = np.unique(counts // np.gcd.reduce(counts), axis=1, return_index=True)
+        counts = counts[:, np.sort(first)]
+    return counts
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     # Bad flags fail even when every triple of the grid is skipped.
     error_bound(args.epsilon)
     _check_horizon(args.horizon)
-    rows = build_table_rows(_table_triples(args), args.epsilon, args.horizon)
+    columns = build_table_rows(_table_counts(args), args.epsilon, args.horizon)
     if args.format == "json":
+        rows = zip(*[column.tolist() for column in columns])
         return EXIT_OK, _json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows])
-    return EXIT_OK, _csv_text(_TABLE_COLUMNS, rows)
+    return EXIT_OK, _csv_text(_TABLE_COLUMNS, columns)
 
 
 def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:

@@ -26,6 +26,7 @@ __all__ = [
     "FailurePair",
     "N_ENVELOPE",
     "make_instance",
+    "valid_counts",
     "half_angle",
     "angles_of",
     "rotation_angles",
@@ -112,6 +113,15 @@ def make_instance(N: int, M: int, K: int) -> ProblemInstance:
     return ProblemInstance(N=N, M=M, K=K, strict_regime=2 * K < N)
 
 
+def valid_counts(N, M, K):
+    """Whether ``make_instance`` accepts the counts; elementwise on arrays.
+
+    Arrays of any integer dtype, object arrays of Python ints included, give a
+    bool array.  ``make_instance`` is the one place that says why a triple fails.
+    """
+    return (1 <= N) & (N <= N_ENVELOPE) & (0 <= M) & (M < K) & (K <= N)
+
+
 def half_angle(count, N):
     """arcsin(sqrt(count/N)): half the rotation angle for a marked set of ``count``.
 
@@ -187,12 +197,13 @@ def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
 def error_bound(epsilon: float) -> float:
     """sin^2(2*pi*epsilon), the failure probability an epsilon-neighborhood allows.
 
-    The one place epsilon is validated: it must be finite and lie in (0, 1),
-    and its bound must not round to 0, which no failure probability is below,
-    or to 1, which all but an exact 1 are below (as at 1e-320, 0.25, 0.75).
+    The one place epsilon is validated: it must be finite and lie in (0, 1/4),
+    where the bound rises with epsilon, and its bound must not round to 0,
+    which no failure probability is below, or to 1, which all but an exact 1
+    are below (as at 1e-320 and 0.24999999999).
     """
-    if not 0.0 < epsilon < 1.0:  # also false for NaN
-        raise ValueError(f"epsilon must be finite and lie in (0, 1), got {epsilon}")
+    if not 0.0 < epsilon < 0.25:  # also false for NaN
+        raise ValueError(f"epsilon={epsilon} must be finite and lie in (0, 1/4)")
     bound = math.sin(2.0 * math.pi * epsilon) ** 2
     if not 0.0 < bound < 1.0:
         raise ValueError(

@@ -27,13 +27,21 @@ from groverstop import (
     stopping_rule,
     transforms,
 )
-from groverstop.cli import TABLE_FIELDS, TableRow, _csv_text, build_table_rows, main
+from groverstop.cli import (
+    TABLE_FIELDS, TableRow, _csv_text, _triple_columns, build_table_rows, main,
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _table_rows(triples, epsilon, horizon=None):
+    """build_table_rows' columns, transposed: one tuple of Python values per row."""
+    columns = build_table_rows(_triple_columns(triples), epsilon, horizon)
+    return list(zip(*[column.tolist() for column in columns]))
 
 
 class TestRuleCommand:
@@ -167,7 +175,7 @@ class TestTableCommand:
         lines = out.splitlines()
         for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 32, 48)]):
             parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-            row = TableRow(*build_table_rows([(n, m, k)], 1.0 / 12.0)[0])
+            row = TableRow(*_table_rows([(n, m, k)], 1.0 / 12.0)[0])
             for field, value in asdict(row).items():
                 cell = parsed[field]
                 if value is None:
@@ -233,7 +241,8 @@ class TestTableCommand:
         writer.writerow([name for name, _ in columns])
         for row in rows:
             writer.writerow([cell(value) for value in row])
-        assert _csv_text(columns, rows) == reference.getvalue()
+        cells = [np.array(column, dtype=object) for column in zip(*rows)]
+        assert _csv_text(columns, cells) == reference.getvalue()
 
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
@@ -241,7 +250,7 @@ class TestTableCommand:
             return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
 
         monkeypatch.setattr(cli, "scan_rows", missed)
-        row = TableRow(*build_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0])
+        row = TableRow(*_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0])
         instance = make_instance(65536, 12, 13)
         assert check_applicability(instance).all_ok
         rule = construct_rule(instance)
@@ -250,6 +259,93 @@ class TestTableCommand:
         assert row.l_constructive == rule.l == 3255 and row.l_minimal is None
         assert (row.fail_K, row.fail_M) == (cert.fail_K, cert.fail_M)
         assert (row.fail_K, row.fail_M) == (fails.fail_K, fails.fail_M)
+
+
+def _reference_triples(path):
+    """Each kept line of a --triples file parsed, then passed to make_instance, one at a time."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                n, m, k = (int(tok) for tok in line.replace(",", " ").split())
+                instance = make_instance(n, m, k)
+                rows.append((instance.N, instance.M, instance.K))
+    if not rows:
+        raise ValueError("empty grid")
+    return rows
+
+
+@st.composite
+def _valid_triple(draw):
+    N = draw(st.integers(1, 2 ** draw(st.integers(0, 48))))
+    K = draw(st.integers(1, N))
+    return N, draw(st.integers(0, K - 1)), K
+
+
+_ANY_COUNT = st.one_of(st.integers(-3, 300), st.integers(-(2**70), 2**70))
+_JUNK = st.sampled_from(["x", "1.5", "1e3", "0x10", "1_0", "٤٢", "+7", "-0", "--1", "_1"])
+_SEPARATOR = st.sampled_from([" ", ",", ", ", "\t", " ,, "])
+
+
+@st.composite
+def _triples_line(draw):
+    """A valid, invalid or malformed row, a comment or a blank line."""
+    kind = draw(st.sampled_from(["valid", "valid", "invalid", "malformed", "comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# N M K", "  #4096 12 8"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "valid":
+        tokens = [str(value) for value in draw(_valid_triple())]
+    elif kind == "invalid":
+        tokens = [str(draw(_ANY_COUNT)) for _ in range(3)]
+    else:
+        tokens = draw(st.lists(st.one_of(_JUNK, _ANY_COUNT.map(str)), max_size=5))
+    return draw(_SEPARATOR).join(tokens)
+
+
+class TestTriplesReader:
+    """The columnar reader takes --triples rows as the row-by-row reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_triples_line(), max_size=12), st.sampled_from(["\n", "\r\n"]))
+    @example(["4096 12 8", "4096 8 x"], "\n")
+    @example([f"{2**70} 1 2", "4096 8 x"], "\n")
+    @example(["4096 8 x", "4096 12 8"], "\n")
+    def test_matches_row_by_row_reference(self, tmp_path_factory, lines, newline):
+        path = tmp_path_factory.mktemp("triples") / "rows.txt"
+        path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        try:
+            expected = _reference_triples(path)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                _triple_columns(cli._read_triples(path))
+            assert str(raised.value) == str(exc)
+        else:
+            counts = _triple_columns(cli._read_triples(path))
+            assert counts.dtype == np.int64 and counts.shape == (3, len(expected))
+            assert list(zip(*counts.tolist())) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([(8, 2, 3), (12, 0, 5), (9, 3, 6)]), st.integers(1, 4)),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_reduced_keeps_first_of_each_family(self, tmp_path_factory, scaled):
+        triples = [(N * g, M * g, K * g) for (N, M, K), g in scaled]
+        path = tmp_path_factory.mktemp("triples") / "rows.txt"
+        path.write_text("".join(f"{N} {M} {K}\n" for N, M, K in triples))
+        args = cli._parser().parse_args(["table", "--triples", str(path), "--reduced"])
+        seen, expected = set(), []
+        for N, M, K in triples:
+            family = transforms.reduce_common_divisor(M, K, N)
+            if family not in seen:
+                seen.add(family)
+                expected.append((N, M, K))
+        assert list(zip(*cli._table_counts(args).tolist())) == expected
 
 
 class TestExperimentCommand:
@@ -422,8 +518,11 @@ class TestJsonKeys:
 class TestBadInputIsExitOne:
     """Out-of-range or non-finite input exits 1 and writes nothing to stdout."""
 
-    # 0.25 and 1e-320 lie in (0, 1), but their error bounds round to 1 and 0.
-    @pytest.mark.parametrize("epsilon", ["-1", "nan", "0", "1", "inf", "0.25", "1e-320"])
+    # 0.25, 0.5 and 0.9 lie outside (0, 1/4); 1e-320 inside, but its error
+    # bound rounds to 0.
+    @pytest.mark.parametrize(
+        "epsilon", ["-1", "nan", "0", "1", "inf", "0.25", "0.5", "0.9", "1e-320"]
+    )
     def test_rule_epsilon(self, capsys, epsilon):
         code, out = run_cli(
             capsys, "rule", "--N", "4096", "--M", "8", "--K", "9", "--epsilon", epsilon
@@ -517,7 +616,7 @@ class TestBadInputIsExitOne:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(f"groverstop: error: range {spec!r}")
 
-    @pytest.mark.parametrize("epsilon", ["0.25", "0.75", "1e-320"])
+    @pytest.mark.parametrize("epsilon", ["0.25", "0.75", "1e-320", "0.5"])
     def test_degenerate_epsilon_everywhere(self, capsys, epsilon):
         commands = [
             "rule --N 65536 --M 12 --K 13",
@@ -737,7 +836,7 @@ class TestColumnarTable:
     @example(([(65536, 12, 13), (2**48, 2**47 - 1, 2**47), (4, 0, 1), (2, 1, 2)], 1.0 / 12.0, None))
     def test_rows_equal_the_instance_level_rows(self, case):
         triples, epsilon, horizon = case
-        rows = build_table_rows(triples, epsilon, horizon)
+        rows = _table_rows(triples, epsilon, horizon)
         expected = [_reference_row(*triple, epsilon, horizon) for triple in triples]
         assert [_bits(TableRow(*row)) for row in rows] == [_bits(row) for row in expected]
 

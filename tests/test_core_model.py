@@ -17,6 +17,7 @@ from groverstop import (
     make_instance,
     state_after,
 )
+from groverstop.core_model import valid_counts
 
 
 class TestMakeInstance:
@@ -212,19 +213,43 @@ class TestIntegerTypes:
             make_instance(1024, bad, 12)
 
 
+_COUNT = st.one_of(
+    st.integers(-3, 20), st.integers(2**48 - 2, 2**48 + 2), st.integers(-(2**70), 2**70)
+)
+
+
+@given(st.lists(st.tuples(_COUNT, _COUNT, _COUNT), min_size=1, max_size=20))
+def test_valid_counts_is_make_instance_accepting(triples):
+    accepted = []
+    for triple in triples:
+        try:
+            make_instance(*triple)
+        except ValueError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert [bool(valid_counts(*triple)) for triple in triples] == accepted
+    columns = np.array(triples, dtype=object).T
+    assert valid_counts(*columns).tolist() == accepted
+    if all(abs(value) < 2**63 for triple in triples for value in triple):
+        assert valid_counts(*columns.astype(np.int64)).tolist() == accepted
+
+
 class TestErrorBound:
     def test_worked_threshold(self):
         assert error_bound(1.0 / 12.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_formula(self):
-        for eps in (0.01, 0.1, 0.3, 0.9):
+        for eps in (0.01, 0.1):
             assert error_bound(eps) == math.sin(2.0 * math.pi * eps) ** 2
 
-    # The last five lie in (0, 1), but their bounds round to 1 or to 0.
+    # Above 1/4 the bound falls again (0.5 gives 1.5e-32), so epsilon's domain
+    # ends there.  The last three lie in (0, 1/4), but their bounds round to 1
+    # or to 0.
     @pytest.mark.parametrize(
         "bad",
         [-1.0, 0.0, 1.0, 1.5, math.nan, math.inf, -math.inf, 0.25, 0.75, 0.2500000001,
-         1e-320, 1e-170],
+         0.3, 0.5, 0.9, 0.24999999999, 1e-320, 1e-170],
     )
     def test_rejects_out_of_range_and_non_finite(self, bad):
         with pytest.raises(ValueError, match="epsilon"):

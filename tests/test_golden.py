@@ -338,6 +338,71 @@ def test_golden_envelope_edge_table(capsys, tmp_path, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of b""
+CRLF_TRIPLES = "# header\r\n4096,8,12\r\n\r\n1024, 4, 6\r\n  # note\r\n65536 12 13\r\n"
+
+# `table` over --triples files: (file text, further flags, exit code, stdout
+# sha256, stderr).  Recorded while each row was parsed and passed to
+# make_instance one at a time, so the first bad row in file order, malformed
+# or invalid, names the error.  The BOM row is a declared change: it failed
+# with "invalid literal for int() with base 10: '\\ufeff4096'", and now reads
+# as the same file without the BOM.
+TRIPLES_PINS = [
+    ("4096 12 8\n4096 8 x\n", [], 1, EMPTY, "need M < K, got M=12, K=8"),
+    (f"{2**70} 1 2\n4096 8 x\n", [], 1, EMPTY,
+     "N=1180591620717411303424 exceeds the float64 envelope 2**48"),
+    ("4096 8 x\n4096 12 8\n", [], 1, EMPTY, "invalid literal for int() with base 10: 'x'"),
+    ("4096 8 12 7\n", [], 1, EMPTY, "too many values to unpack (expected 3)"),
+    ("4096 8 12 x\n", [], 1, EMPTY, "invalid literal for int() with base 10: 'x'"),
+    ("4096 x\n", [], 1, EMPTY, "invalid literal for int() with base 10: 'x'"),
+    (",,,\n", [], 1, EMPTY, "not enough values to unpack (expected 3, got 0)"),
+    (f"4096 {2**70} 12\n", [], 1, EMPTY, "need M < K, got M=1180591620717411303424, K=12"),
+    (f"{-2**70} 0 1\n", [], 1, EMPTY, "N must be positive, got -1180591620717411303424"),
+    ("# only\n   # comments\n\n", [], 1, EMPTY, "empty grid"),
+    (CRLF_TRIPLES, [], 0,
+     "e5aa15fba1dba49f9511f194f04ef010d7bd9c4b464258d3ba483e1485b72b69", None),
+    (CRLF_TRIPLES, ["--format", "json"], 0,
+     "8e44c0648daee06ed43157dc3f6d6b33b69e9dc9f3c60f76f12623640609b151", None),
+    ("1_024 8 12\n٤٠٩٦ ٨ ١٢\n", [], 0,
+     "fd8fc09adbc93876130d3b557b057e310331bc6d67bfd27a9dbc1e372f26c2d0", None),
+    ("4096 8 12\n2048 4 6\n4096 8 12\n1024 3 5\n3072 9 15\n1024 2 3\n", ["--reduced"], 0,
+     "dfa655424c6abfe5a2336db81b372d8d07c1a3b246ad6954f65c70debd0b8c88", None),
+    ("4096 8 12\n2048 4 6\n4096 8 12\n4096 12 8\n", ["--reduced"], 1, EMPTY,
+     "need M < K, got M=12, K=8"),
+    ("\ufeff4096 8 12\n1024 4 6\n", [], 0,
+     "fca79b0a91d0ffddc6f542b8a9c4577e041e7e9d6e7bb287f0b316e47d405444", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, flags, code, digest, error", TRIPLES_PINS, ids=[repr(pin[0]) for pin in TRIPLES_PINS]
+)
+def test_golden_triples_file(capsys, tmp_path, text, flags, code, digest, error):
+    triples = tmp_path / "pin.triples"
+    triples.write_bytes(text.encode("utf-8"))
+    assert main(["table", "--triples", str(triples), *flags]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+    assert captured.err == ("" if error is None else f"groverstop: error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "ranges, code, digest, error",
+    [
+        ("--N-range 1180591620717411303424 --M-range 1 --K-range 2", 1, EMPTY,
+         "N=1180591620717411303424 exceeds the float64 envelope 2**48"),
+        # No corner of this grid is valid: the header alone.
+        ("--N-range 4 --M-range 5 --K-range 6", 0,
+         "9ded1d838d567488c4a3c14e668fd5d89143929933a81996f87c23c6cc58d8a0", None),
+    ],
+)
+def test_golden_table_ranges(capsys, ranges, code, digest, error):
+    assert main(["table", *ranges.split()]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+    assert captured.err == ("" if error is None else f"groverstop: error: {error}\n")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
