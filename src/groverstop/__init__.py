@@ -2,24 +2,22 @@
 
 Core pieces: an exact 2D subspace model of the Grover rotation, the
 constructive odd-l stopping rule with numeric certification, exhaustive
-torus-orbit searches, instance transforms (gcd reduction, database padding),
-and a brute-force statevector lab used as ground truth.
+torus-orbit searches, instance transforms (database padding, iteration
+bounds), the command-line front end (whose ``table --reduced`` keeps one
+triple per proportional family), and a brute-force statevector lab used as
+ground truth.
 """
 
 from .core_model import (
     FailurePair,
     GroverAngles,
     ProblemInstance,
-    SubspaceState,
     angles_of,
-    chebyshev_T,
-    chebyshev_residuals,
     error_bound,
     failure_kernel,
     failure_probabilities,
     half_angle,
     make_instance,
-    state_after,
 )
 from .diophantine import (
     SearchReport,
@@ -31,10 +29,7 @@ from .diophantine import (
 from .statevector import (
     DiscriminationOutcome,
     RNG_ALGORITHM,
-    apply_oracle,
-    grover_step,
     init_uniform,
-    measure,
     run_discrimination,
     simulate,
 )
@@ -55,7 +50,6 @@ from .transforms import (
     PremiseViolated,
     iteration_bound,
     pad_for_ratio,
-    reduce_common_divisor,
 )
 
 __version__ = "0.1.0"

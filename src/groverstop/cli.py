@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -406,11 +406,8 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[int, str]:
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")
-    # The corners kept are valid triples, with the N checked above.
-    corners = _grid_corners(
-        range(args.N, args.N + 1), _parse_range(args.M_range), _parse_range(args.K_range)
-    )
-    N, M, K = np.fromiter(chain.from_iterable(corners), dtype=np.int64).reshape(-1, 3).T
+    ranges = range(args.N, args.N + 1), _parse_range(args.M_range), _parse_range(args.K_range)
+    N, M, K = _triple_columns(_grid_corners(*ranges))
     angles = rotation_angles(N, M, K)
     l_bounds = l_bound_of(N, M, K)
     if args.horizon is not None:

@@ -1,9 +1,10 @@
 """Exact scalar model of the Grover rotation in its 2D invariant subspace.
 
 Everything here is a pure function of (N, M, K) or of a rotation angle:
-half-angles, the state after m iterations, the two failure probabilities of
-the size-discrimination experiment, and the Chebyshev-polynomial form of the
-same quantities.
+validation, half-angles, the rotation angles and their ratio, the two failure
+probabilities of the size-discrimination experiment and the error bound an
+epsilon allows.  The analytic routes the tests check these against (the state
+after m iterations, the Chebyshev-polynomial form) live in ``tests/oracles.py``.
 
 All angle arithmetic is 64-bit floating point.  The envelope N <= 2**48 is
 enforced by ``make_instance``; it keeps theta_M large enough that l*theta
@@ -22,7 +23,6 @@ import numpy as np
 __all__ = [
     "ProblemInstance",
     "GroverAngles",
-    "SubspaceState",
     "FailurePair",
     "N_ENVELOPE",
     "make_instance",
@@ -30,12 +30,9 @@ __all__ = [
     "half_angle",
     "angles_of",
     "rotation_angles",
-    "state_after",
     "failure_kernel",
     "failure_probabilities",
     "error_bound",
-    "chebyshev_T",
-    "chebyshev_residuals",
 ]
 
 
@@ -64,14 +61,6 @@ class GroverAngles:
     theta_M: float
     theta_K: float
     gamma: float | None
-
-
-@dataclass(frozen=True)
-class SubspaceState:
-    """Real amplitudes on the unmarked (|alpha>) and marked (|beta>) axes."""
-
-    alpha_amp: float
-    beta_amp: float
 
 
 @dataclass(frozen=True)
@@ -159,14 +148,6 @@ def rotation_angles(N, M, K) -> GroverAngles:
     return GroverAngles(theta_M=theta_M, theta_K=theta_K, gamma=gamma)
 
 
-def state_after(m: int, theta: float) -> SubspaceState:
-    """State of the register after m Grover iterations at rotation angle theta."""
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    phase = (m + 0.5) * theta
-    return SubspaceState(alpha_amp=math.cos(phase), beta_amp=math.sin(phase))
-
-
 def failure_kernel(l, angles: GroverAngles):
     """(fail_K, fail_M) = (cos^2(l*theta_K/2), sin^2(l*theta_M/2)) at stopping time l.
 
@@ -210,30 +191,3 @@ def error_bound(epsilon: float) -> float:
             f"epsilon={epsilon} rounds the error bound sin^2(2*pi*epsilon) to {bound}"
         )
     return bound
-
-
-def chebyshev_T(l: int, x: float) -> float:
-    """Chebyshev polynomial of the first kind, T_l(x) = cos(l*arccos x).
-
-    Evaluated in the trigonometric form, which stays accurate for l in the
-    thousands where the three-term recurrence does not.
-    """
-    if l < 0:
-        raise ValueError(f"degree must be non-negative, got {l}")
-    if abs(x) > 1.0:
-        raise ValueError(f"|x| must be <= 1, got {x}")
-    return math.cos(l * math.acos(x))
-
-
-def chebyshev_residuals(l: int, instance: ProblemInstance) -> tuple[float, float]:
-    """Deviation of T_l((N-2X)/N) from cos(l*theta_X) for X = M and X = K.
-
-    Both vanish analytically because (N-2X)/N = cos(theta_X); the residuals
-    measure only floating-point disagreement between the two routes.
-    """
-    angles = angles_of(instance)
-    x_M = (instance.N - 2 * instance.M) / instance.N
-    x_K = (instance.N - 2 * instance.K) / instance.N
-    r1 = abs(chebyshev_T(l, x_M) - math.cos(l * angles.theta_M))
-    r2 = abs(chebyshev_T(l, x_K) - math.cos(l * angles.theta_K))
-    return r1, r2

@@ -1,4 +1,5 @@
-"""Brute-force ground truth: full N-amplitude simulation of the Grover iteration.
+"""Brute-force ground truth: full N-amplitude simulation of the Grover iteration,
+and the seeded Monte Carlo discrimination experiment.
 
 The oracle and the diffusion operator are real matrices and the initial state
 is real, so amplitudes are plain float64 arrays; any imaginary component that
@@ -16,9 +17,11 @@ amplitudes, b on the rest), and ``_canonical_state`` evolves just (a, b),
 taking that same rounded sum exactly as size*a + (N - size)*b in integers, so
 the result equals ``simulate(N, range(size), m)`` bit for bit (tests pin
 this).  ``simulate`` stays the brute-force lab over any marked set and the
-oracle the two-amplitude evolution is checked against.  Each trial is then
-decided by one comparison of its uniform, scaled by the total probability,
-against the marked probability; both are exactly rounded sums of a*a and b*b.
+oracle the two-amplitude evolution is checked against; the single oracle
+call, Grover step and measurement the tests take on a full state live in
+``tests/oracles.py``.  Each trial is then decided by one comparison of its
+uniform, scaled by the total probability, against the marked probability;
+both are exactly rounded sums of a*a and b*b.
 
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
@@ -49,10 +52,7 @@ __all__ = [
     "RNG_ALGORITHM",
     "DiscriminationOutcome",
     "init_uniform",
-    "apply_oracle",
-    "grover_step",
     "simulate",
-    "measure",
     "trial_rng",
     "run_discrimination",
 ]
@@ -116,26 +116,12 @@ def _step(state: np.ndarray, idx: np.ndarray) -> None:
     np.subtract(2.0 * (math.fsum(memoryview(state)) / len(state)), state, out=state)
 
 
-def apply_oracle(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
-    """Flip the sign of every marked amplitude (an exact involution)."""
-    out = state.copy()
-    _oracle(out, _marked_array(len(state), marked))
-    return out
-
-
-def grover_step(state: np.ndarray, marked: Iterable[int]) -> np.ndarray:
-    """One Grover iteration: oracle reflection, then reflection about uniform."""
-    out = np.array(state, dtype=np.float64)
-    _step(out, _marked_array(len(state), marked))
-    return out
-
-
 def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     """State after m Grover iterations from the uniform start.
 
-    The marked set is validated once; every iteration is the step
-    ``grover_step`` takes, applied in place to the one state array.  N above
-    ``FULL_SIM_CAP`` is refused before anything is allocated.
+    The marked set is validated once; every iteration is one ``_step``,
+    applied in place to the one state array.  N above ``FULL_SIM_CAP`` is
+    refused before anything is allocated.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
@@ -163,20 +149,6 @@ def _canonical_state(N: int, size: int, m: int) -> tuple[float, float]:
         t = 2.0 * (_exact_sum(size, a, rest, b) / N)
         a, b = t - a, t - b
     return a, b
-
-
-def measure(state: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample a basis index with probability amplitude squared.
-
-    The index is where the scaled uniform falls in numpy's running sum of the
-    squared amplitudes (``searchsorted``, side="right"), clamped to N - 1.
-    """
-    probs = state * state
-    norm = float(probs.sum())
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {norm!r}")
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, rng.random() * cum[-1], side="right"), len(cum) - 1))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -320,9 +292,10 @@ def run_discrimination(
     ``trial_rng(seed, t)``, computed for a block of trials at a time, and
     decides K iff u * total < marked.  Here marked = size * a*a and total =
     size * a*a + (N - size) * b*b, each the exact sum rounded once: this is
-    ``measure``'s searchsorted over the running sum of the squared state, with
-    every partial sum rounded once instead of step by step.  Size 0 never
-    decides K, and size N always does, since u < 1.
+    a measurement that searches the scaled uniform in the running sum of the
+    squared state (side="right"), with every partial sum rounded once instead
+    of step by step.  Size 0 never decides K, and size N always does, since
+    u < 1.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")

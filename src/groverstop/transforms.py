@@ -1,12 +1,11 @@
-"""Instance-level transforms: gcd reduction, database padding, iteration bounds.
+"""Instance-level transforms: database padding and iteration bounds.
 
-* Proportional triples (nM, nK, nN) have identical angles, so only triples
-  without a common divisor need separate treatment.
 * When K = a*M with the ratio too close for the constructive rule, padding the
   database with r*N artificial elements (r*M of them marked) shifts gamma into
   the applicable range.  The padding here is virtual: no array is materialized,
   only the transformed triple is returned.
-* Closed-form iteration bounds, including the special K = M+1 forms.
+* The closed-form bounds on m and l, and the applicability flags, elementwise
+  on arrays as well as for one triple.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "PaddedInstance",
     "IterationBounds",
     "PremiseViolated",
-    "reduce_common_divisor",
     "pad_for_ratio",
     "iteration_bound",
     "applicability_flags",
@@ -64,16 +62,6 @@ class PaddedInstance:
 class IterationBounds:
     m_bound: float  # 2*sqrt(N)/(sqrt(K)-sqrt(M))
     l_bound: float  # 4*sqrt(N)/(sqrt(K)-sqrt(M))
-    # Present only when K = M+1 and M >= 1:
-    m_bound_successor: float | None = None  # 4*sqrt((M+1)*N)
-    successor_premise_ok: bool | None = None  # sqrt((M+1)/N) < (4/(3M))^2
-
-
-def reduce_common_divisor(M: int, K: int, N: int) -> tuple[int, int, int]:
-    """Divide the triple by gcd(M, K, N); the angles are unchanged."""
-    make_instance(N, M, K)
-    g = math.gcd(M, K, N)
-    return M // g, K // g, N // g
 
 
 def minimal_padding(a: float, epsilon: float) -> int:
@@ -162,19 +150,10 @@ def l_bound_of(N, M, K):
 
 
 def iteration_bound(instance: ProblemInstance) -> IterationBounds:
-    """Closed-form bounds on m and l, with the K = M+1 special forms when they apply.
+    """Closed-form bounds on m and l.
 
     m_bound is l_bound / 2, which equals 2*sqrt(N)/(sqrt(K)-sqrt(M)) exactly:
     scaling by 2 commutes with rounding.
     """
     l_bound = l_bound_of(instance.N, instance.M, instance.K)
-    bounds = IterationBounds(m_bound=l_bound / 2.0, l_bound=l_bound)
-    if instance.K == instance.M + 1 and instance.M >= 1:
-        premise = math.sqrt((instance.M + 1) / instance.N) < (4.0 / (3.0 * instance.M)) ** 2
-        bounds = IterationBounds(
-            m_bound=bounds.m_bound,
-            l_bound=bounds.l_bound,
-            m_bound_successor=4.0 * math.sqrt((instance.M + 1) * instance.N),
-            successor_premise_ok=premise,
-        )
-    return bounds
+    return IterationBounds(m_bound=l_bound / 2.0, l_bound=l_bound)

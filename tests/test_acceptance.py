@@ -13,24 +13,26 @@ import pytest
 
 from groverstop import (
     angles_of,
-    apply_oracle,
     certify,
     check_applicability,
-    chebyshev_residuals,
     construct_rule,
     failure_probabilities,
-    grover_step,
     half_angle,
     init_uniform,
     make_instance,
     minimal_odd_l,
     pad_for_ratio,
-    reduce_common_divisor,
     run_discrimination,
     simulate,
-    state_after,
 )
 from groverstop.cli import TABLE_FIELDS, TableRow, _triple_columns, build_table_rows, main
+from oracles import (
+    apply_oracle,
+    chebyshev_residuals,
+    grover_step,
+    reduce_common_divisor,
+    state_after,
+)
 
 QUARTER = math.sin(2 * math.pi / 12) ** 2  # = 1/4, the eps = 1/12 threshold
 

@@ -30,6 +30,7 @@ from groverstop import (
 from groverstop.cli import (
     TABLE_FIELDS, TableRow, _csv_text, _triple_columns, build_table_rows, main,
 )
+from oracles import reduce_common_divisor
 
 
 def run_cli(capsys, *argv):
@@ -341,7 +342,7 @@ class TestTriplesReader:
         args = cli._parser().parse_args(["table", "--triples", str(path), "--reduced"])
         seen, expected = set(), []
         for N, M, K in triples:
-            family = transforms.reduce_common_divisor(M, K, N)
+            family = reduce_common_divisor(M, K, N)
             if family not in seen:
                 seen.add(family)
                 expected.append((N, M, K))

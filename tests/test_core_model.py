@@ -7,17 +7,15 @@ from hypothesis import given, strategies as st
 
 from groverstop import (
     angles_of,
-    chebyshev_T,
-    chebyshev_residuals,
     construct_rule,
     error_bound,
     failure_kernel,
     failure_probabilities,
     half_angle,
     make_instance,
-    state_after,
 )
 from groverstop.core_model import valid_counts
+from oracles import chebyshev_T, chebyshev_residuals, state_after
 
 
 class TestMakeInstance:

@@ -5,6 +5,7 @@ name the package imports but its module does not list is public by accident.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -15,6 +16,17 @@ import groverstop
 MODULES = ("cli", "core_model", "diophantine", "statevector", "stopping_rule", "transforms")
 RETIRED = ("TorusPoint", "torus_point", "strict_distance", "relaxed_score")
 RETIRED_STRICT_RULE = ("NotApplicable", "GammaTooLarge", "require_applicable")
+# Test-only oracles, now in tests/oracles.py, and the second gcd reduction.
+RETIRED_TO_TESTS = [
+    ("core_model", "chebyshev_T"),
+    ("core_model", "chebyshev_residuals"),
+    ("core_model", "state_after"),
+    ("core_model", "SubspaceState"),
+    ("statevector", "apply_oracle"),
+    ("statevector", "grover_step"),
+    ("statevector", "measure"),
+    ("transforms", "reduce_common_divisor"),
+]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,3 +65,16 @@ def test_retired_strict_rule_api_is_gone(name):
     assert not hasattr(groverstop, name)
     assert not hasattr(stopping_rule, name)
     assert name not in stopping_rule.__all__
+
+
+@pytest.mark.parametrize("module_name, name", RETIRED_TO_TESTS)
+def test_retired_oracles_are_gone(module_name, name):
+    module = importlib.import_module(f"groverstop.{module_name}")
+    assert not hasattr(groverstop, name)
+    assert not hasattr(module, name)
+    assert name not in module.__all__
+
+
+def test_iteration_bounds_has_no_successor_fields():
+    fields = [f.name for f in dataclasses.fields(groverstop.IterationBounds)]
+    assert fields == ["m_bound", "l_bound"]

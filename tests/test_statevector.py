@@ -9,16 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from groverstop import (
     angles_of,
-    apply_oracle,
     failure_probabilities,
-    grover_step,
     half_angle,
     init_uniform,
     make_instance,
-    measure,
     run_discrimination,
     simulate,
-    state_after,
 )
 import groverstop.statevector as sv
 from groverstop.statevector import (
@@ -28,6 +24,7 @@ from groverstop.statevector import (
     _trial_uniforms,
     trial_rng,
 )
+from oracles import apply_oracle, grover_step, measure, state_after
 
 
 class TestInitUniform:

