@@ -2,8 +2,8 @@
 
 Core pieces: an exact 2D subspace model of the Grover rotation, the
 constructive odd-l stopping rule with numeric certification, exhaustive
-torus-orbit searches, instance transforms (database padding, iteration
-bounds), the command-line front end (whose ``table --reduced`` keeps one
+torus-orbit searches, instance transforms (database padding, the l
+bound), the command-line front end (whose ``table --reduced`` keeps one
 triple per proportional family), and a brute-force statevector lab used as
 ground truth.
 """
@@ -41,14 +41,11 @@ from .stopping_rule import (
     certify,
     check_applicability,
     construct_rule,
-    gamma_upper_bound,
     nearest_odd,
 )
 from .transforms import (
-    IterationBounds,
     PaddedInstance,
     PremiseViolated,
-    iteration_bound,
     pad_for_ratio,
 )
 

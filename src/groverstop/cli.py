@@ -18,14 +18,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core_model import (
-    GroverAngles,
     angles_of,
     error_bound,
     failure_kernel,
@@ -53,7 +52,7 @@ from .stopping_rule import (
 )
 from .transforms import applicability_flags, l_bound_of, pad_for_ratio
 
-__all__ = ["main", "entry", "TABLE_FIELDS", "TableRow"]
+__all__ = ["main", "entry", "TABLE_FIELDS"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,36 +60,16 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_USAGE = 64
 
 
-@dataclass
-class TableRow:
-    """One `table` row; the field order is the CSV column order.
-
-    The constructive fields (p, s, l_constructive) are set only when the rule
-    is fully certified.
-    """
-
-    N: int
-    M: int
-    K: int
-    theta_M: float
-    theta_K: float
-    gamma: float | None
-    applicable: bool
-    p: int | None
-    s: int | None
-    l_constructive: int | None
-    l_minimal: int | None
-    l_bound: float
-    fail_K: float | None
-    fail_M: float | None
-
-
-TABLE_FIELDS = [f.name for f in fields(TableRow)]
-# (name, type) of each column: the field's type, without None if it is optional.
+# (name, type) of each `table` column, in CSV order; a cell is None or of its
+# column's type.  gamma is None where M = 0, the pair where no l was found or
+# certified, and p, s and l_constructive where the rule is not fully certified.
 _TABLE_COLUMNS = [
-    (name, next(t for t in get_args(hint) or (hint,) if t is not type(None)))
-    for name, hint in get_type_hints(TableRow).items()
+    ("N", int), ("M", int), ("K", int), ("theta_M", float), ("theta_K", float),
+    ("gamma", float), ("applicable", bool), ("p", int), ("s", int),
+    ("l_constructive", int), ("l_minimal", int), ("l_bound", float), ("fail_K", float),
+    ("fail_M", float),
 ]
+TABLE_FIELDS = [name for name, _ in _TABLE_COLUMNS]
 _ORBIT_COLUMNS = [
     ("l", int), ("x_K", float), ("x_M", float), ("strict_distance", float),
     ("relaxed_score", float),
@@ -222,6 +201,7 @@ def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
+    _check_horizon(args.horizon)
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
     report = minimal_odd_l(angles_of(instance), args.tol, horizon, args.mode)
     return EXIT_OK, _json_dump({"instance": asdict(instance), "search": asdict(report)})
@@ -233,9 +213,9 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
     angles = angles_of(instance)
     ls = np.arange(1, args.l_max + 1, 2)
-    x_K, x_M = orbit_coords(ls, angles)
+    x_K, x_M = orbit_coords(ls, angles.theta_K, angles.theta_M)
     distance = target_distance(x_K, x_M)
-    scores = np.maximum(*failure_kernel(ls, angles))
+    scores = np.maximum(*failure_kernel(ls, angles.theta_K, angles.theta_M))
     return EXIT_OK, _csv_text(_ORBIT_COLUMNS, [ls, x_K, x_M, distance, scores])
 
 
@@ -268,8 +248,7 @@ def build_table_rows(
     fail_K, fail_M = np.full(n, np.nan), np.full(n, np.nan)
     fail_K[at], fail_M[at] = fails.T
     fail_K[hits], fail_M[hits] = failure_kernel(
-        found[hits],
-        GroverAngles(theta_M=angles.theta_M[hits], theta_K=angles.theta_K[hits], gamma=None),
+        found[hits], angles.theta_K[hits], angles.theta_M[hits]
     )
     paired = np.flatnonzero(~np.isnan(fail_K))
     return [
@@ -336,8 +315,10 @@ def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
 
 
 def _check_horizon(horizon: int | None) -> None:
-    if horizon is not None and horizon < 1:
-        raise ValueError(f"--horizon must be >= 1, got {horizon}")
+    # No scan gets past 2**53, where odd l stop being exact doubles, so a
+    # report would claim a horizon it did not scan.
+    if horizon is not None and not 1 <= horizon <= 2**53:
+        raise ValueError(f"--horizon must lie in [1, 2**53], got {horizon}")
 
 
 def _table_counts(args: argparse.Namespace) -> np.ndarray:

@@ -148,7 +148,7 @@ def rotation_angles(N, M, K) -> GroverAngles:
     return GroverAngles(theta_M=theta_M, theta_K=theta_K, gamma=gamma)
 
 
-def failure_kernel(l, angles: GroverAngles):
+def failure_kernel(l, theta_K, theta_M):
     """(fail_K, fail_M) = (cos^2(l*theta_K/2), sin^2(l*theta_M/2)) at stopping time l.
 
     The one implementation of the failure pair.  An array of l gives two
@@ -158,7 +158,7 @@ def failure_kernel(l, angles: GroverAngles):
     square by multiplication.  No parity check: this sits on the scan's hot path.
     """
     trig = np if isinstance(l, np.ndarray) else math
-    c, s = trig.cos(0.5 * l * angles.theta_K), trig.sin(0.5 * l * angles.theta_M)
+    c, s = trig.cos(0.5 * l * theta_K), trig.sin(0.5 * l * theta_M)
     return c * c, s * s
 
 
@@ -171,7 +171,7 @@ def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
     """
     if l % 2 == 0:
         warnings.warn(f"failure_probabilities called with even l={l}", stacklevel=2)
-    fail_K, fail_M = failure_kernel(l, angles)
+    fail_K, fail_M = failure_kernel(l, angles.theta_K, angles.theta_M)
     return FailurePair(fail_K=fail_K, fail_M=fail_M)
 
 

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .core_model import GroverAngles, ProblemInstance, failure_kernel
-from .transforms import iteration_bound
+from .transforms import l_bound_of
 
 __all__ = [
     "SearchReport",
@@ -74,16 +74,16 @@ def circle_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def orbit_coords(l, angles: GroverAngles):
+def orbit_coords(l, theta_K, theta_M):
     """(l*theta_K/4pi mod 1, l*theta_M/4pi mod 1); elementwise when l is an array.
 
     The public coordinate function, for scalars and arrays: ``orbit`` prints
-    these doubles and a strict scan scores them.  No parity check: callers
-    validate l.  An integer array gives, element by element, the same doubles
-    as a Python int.
+    these doubles and a strict scan scores them, with the thetas then arrays
+    of the shape of l.  No parity check: callers validate l.  An integer array
+    gives, element by element, the same doubles as a Python int.
     """
     four_pi = 4.0 * math.pi
-    return (l * angles.theta_K / four_pi) % 1.0, (l * angles.theta_M / four_pi) % 1.0
+    return (l * theta_K / four_pi) % 1.0, (l * theta_M / four_pi) % 1.0
 
 
 def target_distance(x_K, x_M):
@@ -93,7 +93,7 @@ def target_distance(x_K, x_M):
 
 def default_horizon(instance: ProblemInstance) -> int:
     """10x the constructive bound 4*sqrt(N)/(sqrt(K)-sqrt(M)), odd, capped."""
-    return horizon_for_bound(iteration_bound(instance).l_bound)
+    return horizon_for_bound(l_bound_of(instance.N, instance.M, instance.K))
 
 
 def horizon_for_bound(l_bound):
@@ -108,15 +108,15 @@ def horizon_for_bound(l_bound):
     return least(horizon, HORIZON_CAP)
 
 
-def _chunk_scores(ls: np.ndarray, angles: GroverAngles, mode: SearchMode) -> np.ndarray:
+def _chunk_scores(ls: np.ndarray, theta_K, theta_M, mode: SearchMode) -> np.ndarray:
     """The mode's score of each l, elementwise.
 
-    The thetas of ``angles`` may be arrays of the shape of ``ls``, one theta
-    per l: a scan scores the l of its runs, gathered from many rows.
+    The thetas may be arrays of the shape of ``ls``, one theta per l: a scan
+    scores the l of its runs, gathered from many rows.
     """
     if mode == "relaxed":
-        return np.maximum(*failure_kernel(ls, angles))
-    return target_distance(*orbit_coords(ls, angles))
+        return np.maximum(*failure_kernel(ls, theta_K, theta_M))
+    return target_distance(*orbit_coords(ls, theta_K, theta_M))
 
 
 def _relaxed_reach(threshold: float) -> float:
@@ -217,8 +217,7 @@ def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
         row = row[pair]
         rows = block[row]
         ls = stride[rows] * i + offset[rows]
-        angles = GroverAngles(theta_M=theta_M[rows], theta_K=theta_K[rows], gamma=None)
-        scores = _chunk_scores(ls, angles, mode)
+        scores = _chunk_scores(ls, theta_K[rows], theta_M[rows], mode)
         # A residue's first hit is its smallest below its frontier, and its new frontier.
         hits = scores <= threshold
         np.minimum.at(reached, row[hits], i[hits])
@@ -278,7 +277,7 @@ def minimal_odd_l(
     l = int(l) or None
     score = fail_K = fail_M = None
     if l:
-        pair = failure_kernel(np.array([l]), angles)
+        pair = failure_kernel(np.array([l]), angles.theta_K, angles.theta_M)
         score, fail_K, fail_M = (float(v) for (v,) in (scores, *pair))
     return SearchReport(
         found=l is not None,

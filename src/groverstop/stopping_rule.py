@@ -14,9 +14,11 @@ Those premises (``check_applicability``) do not stop the rule from being
 built.  This module builds it for every M > 0 and certifies the
 inequalities numerically, for one instance (``construct_rule``,
 ``certify``) or a column of them (``certified_rules``) with the same
-elementwise formulas.  All inequality checks are exact floating-point
-comparisons: the bounds have real slack at desk scale and hidden tolerances
-would mask regressions.
+elementwise formulas: ``transforms.l_bound_of`` for the bound on l (the
+bound on m is half of it) and ``core_model.failure_kernel``, given l and
+the two thetas, for the failure pair.  All inequality checks are exact
+floating-point comparisons: the bounds have real slack at desk scale and
+hidden tolerances would mask regressions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .core_model import GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel
-from .transforms import applicability_flags, iteration_bound
+from .transforms import applicability_flags, l_bound_of
 
 __all__ = [
     "Applicability",
@@ -37,7 +39,6 @@ __all__ = [
     "DegenerateM",
     "DEFAULT_EPSILON",
     "check_applicability",
-    "gamma_upper_bound",
     "nearest_odd",
     "construct_rule",
     "certify",
@@ -56,7 +57,9 @@ class Applicability:
     ordering_ok: bool  # M < K < N/2
     size_condition_ok: bool  # sqrt(K) < 16*(gamma-1)^2*sqrt(N)
     gamma_small_ok: bool  # gamma - 1 <= 1/4
-    epsilon_bound: float | None  # minimal eps with K < (1 + eps/(2*sqrt(2)))^2 * M
+    # Minimal eps with K < (1 + eps/(2*sqrt(2)))^2 * M: twice sqrt(2)*(sqrt(K/M) - 1),
+    # the certified strict upper bound on gamma - 1.
+    epsilon_bound: float | None
     all_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -122,15 +125,8 @@ def check_applicability(instance: ProblemInstance) -> Applicability:
         ordering_ok=ordering_ok,
         size_condition_ok=size_condition_ok,
         gamma_small_ok=gamma_small_ok,
-        epsilon_bound=2.0 * gamma_upper_bound(instance),
+        epsilon_bound=2.0 * (math.sqrt(2.0) * (math.sqrt(instance.K / instance.M) - 1.0)),
     )
-
-
-def gamma_upper_bound(instance: ProblemInstance) -> float:
-    """Certified strict upper bound sqrt(2)*(sqrt(K/M) - 1) on gamma - 1."""
-    if instance.M == 0:
-        raise DegenerateM("gamma is undefined for M = 0")
-    return math.sqrt(2.0) * (math.sqrt(instance.K / instance.M) - 1.0)
 
 
 def nearest_odd(x):
@@ -155,7 +151,7 @@ def construct_rule(instance: ProblemInstance) -> StoppingRule:
         raise DegenerateM(
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
-    bounds = iteration_bound(instance)
+    l_bound = l_bound_of(instance.N, instance.M, instance.K)
     p, s, l, residual_K, residual_M = rule_terms(angles_of(instance))
     return StoppingRule(
         p=p,
@@ -164,8 +160,8 @@ def construct_rule(instance: ProblemInstance) -> StoppingRule:
         m=(l - 1) // 2,
         residual_K=residual_K,
         residual_M=residual_M,
-        l_bound=bounds.l_bound,
-        m_bound=bounds.m_bound,
+        l_bound=l_bound,
+        m_bound=l_bound / 2.0,
     )
 
 
@@ -204,7 +200,7 @@ def certify(
         rule.l, rule.residual_K, rule.residual_M, angles.gamma, rule.l_bound, epsilon
     )
     # An even l is a malformed rule; l_odd reports it, so no warning here.
-    fail_K, fail_M = failure_kernel(rule.l, angles)
+    fail_K, fail_M = failure_kernel(rule.l, angles.theta_K, angles.theta_M)
     fail_K_ok, fail_M_ok = error_flags(fail_K, fail_M, bound)
     return CertificateReport(
         epsilon=epsilon,
@@ -253,14 +249,9 @@ def certified_rules(rows, angles: GroverAngles, l_bound, epsilon: float):
     flags = certificate_flags(l, residual_K, residual_M, angles.gamma, l_bound[rows], epsilon)
     ready = np.flatnonzero(np.logical_and.reduce(list(flags.values())))
     # Each pair is taken apart as it comes, so no list of tuples builds up.
+    scalars = (column[ready].tolist() for column in (l, angles.theta_K, angles.theta_M))
     fails = np.fromiter(
-        chain.from_iterable(
-            failure_kernel(l_i, GroverAngles(theta_M=t_M, theta_K=t_K, gamma=None))
-            for l_i, t_M, t_K in zip(
-                l[ready].tolist(), angles.theta_M[ready].tolist(), angles.theta_K[ready].tolist()
-            )
-        ),
-        dtype=np.float64,
+        chain.from_iterable(map(failure_kernel, *scalars)), dtype=np.float64
     ).reshape(-1, 2)
     passed = np.logical_and(*error_flags(fails[:, 0], fails[:, 1], error_bound(epsilon)))
     certified = ready[passed]

@@ -1,11 +1,11 @@
-"""Instance-level transforms: database padding and iteration bounds.
+"""Instance-level transforms: database padding, the l bound and the size flags.
 
 * When K = a*M with the ratio too close for the constructive rule, padding the
   database with r*N artificial elements (r*M of them marked) shifts gamma into
   the applicable range.  The padding here is virtual: no array is materialized,
   only the transformed triple is returned.
-* The closed-form bounds on m and l, and the applicability flags, elementwise
-  on arrays as well as for one triple.
+* The closed-form bound on l (``l_bound_of``; the bound on m is half of it)
+  and the applicability flags, elementwise on arrays as well as for one triple.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .core_model import ProblemInstance, angles_of, error_bound, make_instance
 
 __all__ = [
     "PaddedInstance",
-    "IterationBounds",
     "PremiseViolated",
     "pad_for_ratio",
-    "iteration_bound",
     "applicability_flags",
     "l_bound_of",
 ]
@@ -58,12 +56,6 @@ class PaddedInstance:
         return make_instance(self.N_prime, self.M_prime, self.K_prime)
 
 
-@dataclass(frozen=True)
-class IterationBounds:
-    m_bound: float  # 2*sqrt(N)/(sqrt(K)-sqrt(M))
-    l_bound: float  # 4*sqrt(N)/(sqrt(K)-sqrt(M))
-
-
 def minimal_padding(a: float, epsilon: float) -> int:
     """Minimal r with r + 1 > (a-1)*sqrt(2)/epsilon.
 
@@ -85,9 +77,9 @@ def pad_for_ratio(
 ) -> PaddedInstance:
     """Pad (M, a*M, N) so the shrunken ratio K'/M' admits the constructive rule.
 
-    Requires M >= 1, a finite ratio a > 1 with a*M integral and a*M <= N/2,
-    epsilon in (0, 1), and the premise sqrt(M/N) < (2*epsilon/3)^2 (otherwise
-    PremiseViolated).
+    Requires M >= 1, a finite ratio a > 1 with a*M integral, a valid triple
+    (N, M, a*M) with a*M <= N/2, epsilon in (0, 1/4), and the premise
+    sqrt(M/N) < (2*epsilon/3)^2 (otherwise PremiseViolated).
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -100,6 +92,7 @@ def pad_for_ratio(
         raise ValueError(f"a*M must be an integer, got a={a}, M={M}")
     if 2 * K_int > N:
         raise ValueError(f"need a*M <= N/2, got a*M={K_int}, N={N}")
+    original = make_instance(N, M, K_int)  # before padding: an error names the given counts
     if math.sqrt(M / N) >= (2.0 * epsilon / 3.0) ** 2:
         raise PremiseViolated(
             f"sqrt(M/N)={math.sqrt(M / N):.6g} >= (2*eps/3)^2="
@@ -121,12 +114,12 @@ def pad_for_ratio(
         M_prime=M_prime,
         K_prime=K_prime,
         N_prime=N_prime,
-        original=make_instance(N, M, K_int),
+        original=original,
         gamma_prime=angles.gamma,
         gamma_prime_lower=gamma_prime_lower,
         gamma_gap_ok=excess >= gamma_prime_lower,
         size_condition_ok=size_condition_ok,
-        m_bound_padded=iteration_bound(padded).m_bound,
+        m_bound_padded=l_bound_of(N_prime, M_prime, K_prime) / 2.0,
     )
 
 
@@ -144,16 +137,10 @@ def applicability_flags(N, K, gamma):
 
 
 def l_bound_of(N, M, K):
-    """4*sqrt(N)/(sqrt(K)-sqrt(M)), the bound on l; elementwise on arrays."""
+    """4*sqrt(N)/(sqrt(K)-sqrt(M)), the bound on l; elementwise on arrays.
+
+    The bound on m is l_bound / 2, which equals 2*sqrt(N)/(sqrt(K)-sqrt(M))
+    exactly: scaling by 2 commutes with rounding.
+    """
     sqrt = np.sqrt if isinstance(N, np.ndarray) else math.sqrt
     return 4.0 * sqrt(N) / (sqrt(K) - sqrt(M))
-
-
-def iteration_bound(instance: ProblemInstance) -> IterationBounds:
-    """Closed-form bounds on m and l.
-
-    m_bound is l_bound / 2, which equals 2*sqrt(N)/(sqrt(K)-sqrt(M)) exactly:
-    scaling by 2 commutes with rounding.
-    """
-    l_bound = l_bound_of(instance.N, instance.M, instance.K)
-    return IterationBounds(m_bound=l_bound / 2.0, l_bound=l_bound)

@@ -6,7 +6,6 @@ pass/fail verdict printed per criterion.
 
 import math
 import time
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from groverstop import (
     run_discrimination,
     simulate,
 )
-from groverstop.cli import TABLE_FIELDS, TableRow, _triple_columns, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, _triple_columns, build_table_rows, main
 from oracles import (
     apply_oracle,
     chebyshev_residuals,
@@ -261,8 +260,8 @@ def test_criterion_9_invariance_suite(capsys, tmp_path):
     for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 0, 5), (4096, 32, 48)]):
         parsed = dict(zip(TABLE_FIELDS, line.split(",")))
         columns = build_table_rows(_triple_columns([(n, m, k)]), 1.0 / 12.0)
-        row = TableRow(*[column.tolist()[0] for column in columns])
-        for field, value in asdict(row).items():
+        row = dict(zip(TABLE_FIELDS, [column.tolist()[0] for column in columns]))
+        for field, value in row.items():
             cell = parsed[field]
             if value is None:
                 ok &= cell == ""

@@ -4,7 +4,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,14 +21,13 @@ from groverstop import (
     diophantine,
     error_bound,
     failure_probabilities,
-    iteration_bound,
     make_instance,
     minimal_odd_l,
     stopping_rule,
     transforms,
 )
 from groverstop.cli import (
-    TABLE_FIELDS, TableRow, _csv_text, _triple_columns, build_table_rows, main,
+    TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _triple_columns, build_table_rows, main,
 )
 from oracles import reduce_common_divisor
 
@@ -123,6 +122,23 @@ class TestSearchCommand:
         assert report["mode"] == "strict"
         assert report["l"] == 3
 
+    def test_horizon_of_exact_doubles_is_scanned(self, capsys):
+        code, out = run_cli(
+            capsys, "search", "--N", "4096", "--M", "8", "--K", "12", "--horizon", str(2**53)
+        )
+        assert code == 0
+        assert json.loads(out)["search"]["horizon"] == 2**53
+
+    # No scan gets past 2**53, so a report must not claim a horizon beyond it.
+    @pytest.mark.parametrize("horizon", ["0", "-3", str(2**53 + 1), "99999999999999999999"])
+    def test_horizon_outside_exact_doubles_rejected(self, capsys, horizon):
+        code = main(["search", "--N", "4096", "--M", "8", "--K", "12", "--horizon", horizon])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            f"groverstop: error: --horizon must lie in [1, 2**53], got {horizon}\n"
+        )
+
 
 class TestOrbitCommand:
     def test_trace(self, capsys):
@@ -176,8 +192,8 @@ class TestTableCommand:
         lines = out.splitlines()
         for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 32, 48)]):
             parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-            row = TableRow(*_table_rows([(n, m, k)], 1.0 / 12.0)[0])
-            for field, value in asdict(row).items():
+            row = dict(zip(TABLE_FIELDS, _table_rows([(n, m, k)], 1.0 / 12.0)[0]))
+            for field, value in row.items():
                 cell = parsed[field]
                 if value is None:
                     assert cell == ""
@@ -251,15 +267,15 @@ class TestTableCommand:
             return np.zeros(len(horizons), dtype=np.int64), np.full(len(horizons), np.nan)
 
         monkeypatch.setattr(cli, "scan_rows", missed)
-        row = TableRow(*_table_rows([(65536, 12, 13)], 1.0 / 12.0)[0])
+        row = dict(zip(TABLE_FIELDS, _table_rows([(65536, 12, 13)], 1.0 / 12.0)[0]))
         instance = make_instance(65536, 12, 13)
         assert check_applicability(instance).all_ok
         rule = construct_rule(instance)
         cert = certify(rule, instance, 1.0 / 12.0)
         fails = failure_probabilities(rule.l, angles_of(instance))
-        assert row.l_constructive == rule.l == 3255 and row.l_minimal is None
-        assert (row.fail_K, row.fail_M) == (cert.fail_K, cert.fail_M)
-        assert (row.fail_K, row.fail_M) == (fails.fail_K, fails.fail_M)
+        assert row["l_constructive"] == rule.l == 3255 and row["l_minimal"] is None
+        assert (row["fail_K"], row["fail_M"]) == (cert.fail_K, cert.fail_M)
+        assert (row["fail_K"], row["fail_M"]) == (fails.fail_K, fails.fail_M)
 
 
 def _reference_triples(path):
@@ -402,6 +418,15 @@ class TestPadCommand:
     def test_premise_violated_is_input_error(self, capsys):
         code, _ = run_cli(capsys, "pad", "--M", "100", "--N", "400")
         assert code == 1
+
+    def test_error_names_the_given_N(self, capsys):
+        # The padded N, 17 times as large, is not what the user typed.
+        code = main(["pad", "--M", "1", "--N", "562949953421312"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "groverstop: error: N=562949953421312 exceeds the float64 envelope 2**48\n"
+        )
 
 
 class TestDiagnoseCommand:
@@ -580,7 +605,8 @@ class TestBadInputIsExitOne:
     # The grids below hold no valid triple, so a bad flag is the only error.
     @pytest.mark.parametrize(
         "flag, value", [("--epsilon", "2"), ("--epsilon", "nan"), ("--horizon", "-3"),
-                        ("--horizon", "0"), ("--epsilon", "0.25"), ("--epsilon", "1e-320")]
+                        ("--horizon", "0"), ("--epsilon", "0.25"), ("--epsilon", "1e-320"),
+                        ("--horizon", str(2**53 + 1)), ("--horizon", "99999999999999999999")]
     )
     def test_table_every_triple_skipped(self, capsys, flag, value):
         code = main(["table", "--N-range", "10", "--M-range", "5", "--K-range", "1", flag, value])
@@ -590,7 +616,8 @@ class TestBadInputIsExitOne:
 
     @pytest.mark.parametrize(
         "flag, value", [("--epsilon", "2"), ("--horizon", "-3"), ("--horizon", "0"),
-                        ("--epsilon", "0.25"), ("--epsilon", "1e-320")]
+                        ("--epsilon", "0.25"), ("--epsilon", "1e-320"),
+                        ("--horizon", str(2**53 + 1)), ("--horizon", "99999999999999999999")]
     )
     def test_diagnose_every_pair_skipped(self, capsys, flag, value):
         code = main([
@@ -765,34 +792,34 @@ def _reference_row(N, M, K, epsilon, horizon):
     """A table row from the instance-level functions, one triple at a time."""
     instance = make_instance(N, M, K)
     angles = angles_of(instance)
-    l_bound = iteration_bound(instance).l_bound
-    row = TableRow(
+    l_bound = transforms.l_bound_of(N, M, K)
+    row = dict(zip(TABLE_FIELDS, (
         N, M, K, angles.theta_M, angles.theta_K, angles.gamma,
         check_applicability(instance).all_ok, None, None, None, None, l_bound, None, None,
-    )
+    )))
     scan_horizon = default_horizon(instance) if horizon is None else horizon
     if M > 0:
         rule = construct_rule(instance)
         certificate = certify(rule, instance, epsilon)
         if certificate.certified:
-            row.p, row.s, row.l_constructive = rule.p, rule.s, rule.l
-            row.fail_K, row.fail_M = certificate.fail_K, certificate.fail_M
+            row["p"], row["s"], row["l_constructive"] = rule.p, rule.s, rule.l
+            row["fail_K"], row["fail_M"] = certificate.fail_K, certificate.fail_M
             scan_horizon = max(scan_horizon, rule.l)
     search = minimal_odd_l(angles, error_bound(epsilon), scan_horizon)
     if search.found:
-        row.l_minimal, row.fail_K, row.fail_M = search.l, search.fail_K, search.fail_M
+        row["l_minimal"], row["fail_K"], row["fail_M"] = search.l, search.fail_K, search.fail_M
     return row
 
 
 def _bits(row):
     """Each cell's type and repr: equal only for the same value, bit for bit."""
-    return [(type(value), repr(value)) for value in astuple(row)]
+    return [(type(value), repr(value)) for value in row.values()]
 
 
 class TestColumnarTable:
     GRID = ["--N-range", "1024:4096:1024", "--M-range", "0:64:8", "--K-range", "6:96:6"]
     PER_INSTANCE = [
-        angles_of, iteration_bound, check_applicability, construct_rule, certify,
+        angles_of, check_applicability, construct_rule, certify,
         default_horizon, minimal_odd_l,
     ]
     KERNELS = [
@@ -832,6 +859,25 @@ class TestColumnarTable:
         scalar_l = [args for args in failure_calls if not isinstance(args[0], np.ndarray)]
         assert len(scalar_l) == trig_rows
 
+    def test_every_cell_is_none_or_of_its_column_type(self):
+        # M = 0 rows, certified rules, uncertified ones and a scan that finds
+        # nothing: every column holds a value somewhere, and the optional ones
+        # a None too.
+        corners = [(n, m, k) for n in range(1024, 4097, 1024) for m in range(0, 65, 8)
+                   for k in range(6, 97, 6) if m < k]
+        rows = _table_rows(corners + [(4, 0, 1), (65536, 12, 13)], 1.0 / 12.0, 501)
+        rows += _table_rows([(1 << 20, 1, 2)], 1.0 / 12.0, 1)
+        seen = {name: set() for name in TABLE_FIELDS}
+        for row in rows:
+            for (name, kind), cell in zip(_TABLE_COLUMNS, row):
+                assert cell is None or type(cell) is kind, (name, cell)
+                seen[name].add(type(cell))
+        assert all(kind in seen[name] for name, kind in _TABLE_COLUMNS)
+        optional = {name for name, types in seen.items() if type(None) in types}
+        assert optional == {
+            "gamma", "p", "s", "l_constructive", "l_minimal", "fail_K", "fail_M",
+        }
+
     @settings(max_examples=60, deadline=None)
     @given(_table_cases())
     @example(([(65536, 12, 13), (2**48, 2**47 - 1, 2**47), (4, 0, 1), (2, 1, 2)], 1.0 / 12.0, None))
@@ -839,14 +885,16 @@ class TestColumnarTable:
         triples, epsilon, horizon = case
         rows = _table_rows(triples, epsilon, horizon)
         expected = [_reference_row(*triple, epsilon, horizon) for triple in triples]
-        assert [_bits(TableRow(*row)) for row in rows] == [_bits(row) for row in expected]
+        assert [_bits(dict(zip(TABLE_FIELDS, row))) for row in rows] == [
+            _bits(row) for row in expected
+        ]
 
 
 class TestScalarWorkOncePerRow:
     @pytest.mark.parametrize(
         "function, column",
-        [(angles_of, core_model.rotation_angles), (iteration_bound, transforms.l_bound_of)],
-        ids=["angles_of", "iteration_bound"],
+        [(angles_of, core_model.rotation_angles), (default_horizon, transforms.l_bound_of)],
+        ids=["angles_of", "default_horizon"],
     )
     def test_table_row_computes_it_once(self, monkeypatch, capsys, function, column):
         per_row = _count_calls(monkeypatch, function)

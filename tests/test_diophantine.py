@@ -20,7 +20,7 @@ from groverstop import (
 )
 from groverstop.core_model import GroverAngles
 from groverstop import diophantine
-from groverstop.cli import TableRow, _triple_columns, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, _triple_columns, build_table_rows, main
 from groverstop.diophantine import (
     HORIZON_CAP,
     SCAN_CHUNK,
@@ -37,24 +37,27 @@ class TestTorusPoint:
     """``orbit_coords`` at one odd l, a Python int."""
 
     def test_first_orbit_point(self):
-        x_K, x_M = orbit_coords(1, angles_of(make_instance(4, 1, 2)))
+        ang = angles_of(make_instance(4, 1, 2))
+        x_K, x_M = orbit_coords(1, ang.theta_K, ang.theta_M)
         assert x_K == pytest.approx(1 / 8, abs=1e-15)
         assert x_M == pytest.approx(1 / 12, abs=1e-15)
 
     def test_exact_hit(self):
-        x_K, x_M = orbit_coords(3, angles_of(make_instance(4, 0, 1)))
+        ang = angles_of(make_instance(4, 0, 1))
+        x_K, x_M = orbit_coords(3, ang.theta_K, ang.theta_M)
         assert x_K == pytest.approx(0.25, abs=1e-15)
         assert x_M == 0.0
 
     def test_wrap_around(self):
         # theta_K = pi when K = N, so l=5 gives frac(5/4) = 1/4.
-        x_K, _ = orbit_coords(5, angles_of(make_instance(4, 1, 4)))
+        ang = angles_of(make_instance(4, 1, 4))
+        x_K, _ = orbit_coords(5, ang.theta_K, ang.theta_M)
         assert x_K == pytest.approx(0.25, abs=1e-15)
 
     def test_coordinates_in_unit_interval(self):
         ang = angles_of(make_instance(997, 13, 19))
         for l in range(1, 400, 2):
-            x_K, x_M = orbit_coords(l, ang)
+            x_K, x_M = orbit_coords(l, ang.theta_K, ang.theta_M)
             assert 0.0 <= x_K < 1.0
             assert 0.0 <= x_M < 1.0
 
@@ -80,11 +83,13 @@ class TestRelaxedScore:
     """The worst failure probability at l, ``orbit``'s relaxed_score column."""
 
     def test_exact_success(self):
-        score = max(failure_kernel(3, angles_of(make_instance(4, 0, 1))))
+        ang = angles_of(make_instance(4, 0, 1))
+        score = max(failure_kernel(3, ang.theta_K, ang.theta_M))
         assert score == pytest.approx(0.0, abs=1e-30)
 
     def test_closed_form(self):
-        score = max(failure_kernel(1, angles_of(make_instance(4, 1, 2))))
+        ang = angles_of(make_instance(4, 1, 2))
+        score = max(failure_kernel(1, ang.theta_K, ang.theta_M))
         assert score == pytest.approx(0.5, abs=1e-15)
 
     def test_strict_hit_implies_relaxed_bound(self):
@@ -98,9 +103,10 @@ class TestRelaxedScore:
             l = 2 * int(rng.integers(0, 2000)) + 1
             eps = float(rng.uniform(0.001, 0.2))
             ang = angles_of(make_instance(N, M, K))
-            if target_distance(*orbit_coords(l, ang)) <= eps:
+            if target_distance(*orbit_coords(l, ang.theta_K, ang.theta_M)) <= eps:
                 triggered += 1
-                assert max(failure_kernel(l, ang)) <= math.sin(2 * math.pi * eps) ** 2 + 1e-12
+                fails = failure_kernel(l, ang.theta_K, ang.theta_M)
+                assert max(fails) <= math.sin(2 * math.pi * eps) ** 2 + 1e-12
         assert triggered > 10
 
 
@@ -112,10 +118,10 @@ class TestOrbitArrays:
             K = int(rng.integers(2, N // 2))
             ang = angles_of(make_instance(N, int(rng.integers(1, K)), K))
             ls = 1 + 2 * rng.integers(0, HORIZON_CAP // 2, size=200)
-            x_K, x_M = orbit_coords(ls, ang)
+            x_K, x_M = orbit_coords(ls, ang.theta_K, ang.theta_M)
             dist = target_distance(x_K, x_M)
             for i, l in enumerate(ls.tolist()):
-                point = orbit_coords(l, ang)
+                point = orbit_coords(l, ang.theta_K, ang.theta_M)
                 assert (x_K[i], x_M[i]) == point
                 assert dist[i] == target_distance(*point)
 
@@ -126,8 +132,9 @@ class TestStrictScoreIsOrbitDistance:
     def test_chunk_scores_equal_target_distance_of_orbit_coords(self):
         angles = angles_of(make_instance(1 << 20, 37, 41))
         ls = np.arange(1, 2 * 10**6, 2, dtype=np.float64)
-        expected = target_distance(*orbit_coords(ls, angles))
-        assert _chunk_scores(ls, angles, "strict").tobytes() == expected.tobytes()
+        expected = target_distance(*orbit_coords(ls, angles.theta_K, angles.theta_M))
+        scores = _chunk_scores(ls, angles.theta_K, angles.theta_M, "strict")
+        assert scores.tobytes() == expected.tobytes()
 
     def test_search_score_equals_orbit_strict_distance(self, capsys):
         # The threshold is l = 11's strict score when l*(theta/4pi) was rounded
@@ -169,7 +176,7 @@ class TestMinimalOddL:
         report = minimal_odd_l(ang, 0.25, default_horizon(inst))
         assert report.found
         for l in range(1, report.l, 2):
-            assert max(failure_kernel(l, ang)) > 0.25
+            assert max(failure_kernel(l, ang.theta_K, ang.theta_M)) > 0.25
 
     def test_parity(self):
         rng = np.random.default_rng(19)
@@ -206,7 +213,7 @@ class TestMinimalOddL:
 def _reference_scan(angles, threshold, horizon, mode, start=1):
     """Whole-range scan in one array: (l, score) of the first hit, or None."""
     ls = np.arange(start, horizon + 1, 2, dtype=np.float64)
-    scores = _chunk_scores(ls, angles, mode)
+    scores = _chunk_scores(ls, angles.theta_K, angles.theta_M, mode)
     hits = np.nonzero(scores <= threshold)[0]
     return (int(ls[hits[0]]), scores[hits[0]]) if hits.size else None
 
@@ -377,10 +384,11 @@ def test_chunk_scores_independent_of_slicing(instance, mode, first, cuts):
     """Scores of a whole arange equal, bit for bit, those of its pieces."""
     angles = angles_of(instance)
     start, stop = 1 + 2 * first, 1 + 2 * (first + 3001)
-    whole = _chunk_scores(np.arange(start, stop, 2, dtype=np.float64), angles, mode)
+    thetas = angles.theta_K, angles.theta_M
+    whole = _chunk_scores(np.arange(start, stop, 2, dtype=np.float64), *thetas, mode)
     bounds = [start] + [start + 2 * c for c in sorted(set(cuts))] + [stop]
     pieces = [
-        _chunk_scores(np.arange(a, b, 2, dtype=np.float64), angles, mode)
+        _chunk_scores(np.arange(a, b, 2, dtype=np.float64), *thetas, mode)
         for a, b in zip(bounds, bounds[1:])
     ]
     assert whole.tobytes() == np.concatenate(pieces).tobytes()
@@ -412,7 +420,8 @@ class TestReportsCarryTheScansPair:
         if not report.found:
             assert report.score is report.fail_K is report.fail_M is None
             return
-        fail_K, fail_M = failure_kernel(np.array([report.l], float), angles)
+        ls = np.array([report.l], float)
+        fail_K, fail_M = failure_kernel(ls, angles.theta_K, angles.theta_M)
         assert _bits(report.fail_K) + _bits(report.fail_M) == fail_K.tobytes() + fail_M.tobytes()
         if mode == "relaxed":
             assert _bits(report.score) == _bits(max(report.fail_K, report.fail_M))
@@ -421,25 +430,25 @@ class TestReportsCarryTheScansPair:
         triples = [(N, M, K) for N in range(65536, 1048577, 131072)
                    for M in range(1, 41, 3) for K in range(2, 61, 5) if M < K]
         columns = build_table_rows(_triple_columns(triples), 0.02)
-        rows = [TableRow(*row) for row in zip(*[column.tolist() for column in columns])]
-        rows = [row for row in rows if row.l_minimal]
-        ls = np.array([row.l_minimal for row in rows], float)
-        angles = GroverAngles(
-            theta_M=np.array([row.theta_M for row in rows]),
-            theta_K=np.array([row.theta_K for row in rows]),
-            gamma=None,
+        rows = [dict(zip(TABLE_FIELDS, row)) for row in zip(*[c.tolist() for c in columns])]
+        rows = [row for row in rows if row["l_minimal"]]
+        ls = np.array([row["l_minimal"] for row in rows], float)
+        fail_K, fail_M = failure_kernel(
+            ls,
+            np.array([row["theta_K"] for row in rows]),
+            np.array([row["theta_M"] for row in rows]),
         )
-        fail_K, fail_M = failure_kernel(ls, angles)
         assert len(rows) > 100
-        assert np.array([row.fail_K for row in rows]).tobytes() == fail_K.tobytes()
-        assert np.array([row.fail_M for row in rows]).tobytes() == fail_M.tobytes()
+        assert np.array([row["fail_K"] for row in rows]).tobytes() == fail_K.tobytes()
+        assert np.array([row["fail_M"] for row in rows]).tobytes() == fail_M.tobytes()
 
     def test_orbit_relaxed_score_is_the_relaxed_scan_score(self, capsys):
         assert main("orbit --N 1048576 --M 37 --K 41 --l-max 199999".split()) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         printed = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
         ls = np.arange(1, 200000, 2, dtype=np.float64)
-        expected = _chunk_scores(ls, angles_of(make_instance(1 << 20, 37, 41)), "relaxed")
+        angles = angles_of(make_instance(1 << 20, 37, 41))
+        expected = _chunk_scores(ls, angles.theta_K, angles.theta_M, "relaxed")
         assert printed.tobytes() == expected.tobytes()
 
 
@@ -501,8 +510,8 @@ def _linear_scan_rows(theta_K, theta_M, threshold, horizons, mode):
             bound = radius + (ls[-1] * w[:, block].max() + 1.0) * 2.0**-50
             y = ls * w[:, block, None] + shifts
             rows, cols = np.nonzero((np.abs(y - np.rint(y)) <= bound).all(axis=0))
-            thetas = {"theta_M": theta_M[block][rows], "theta_K": theta_K[block][rows]}
-            scores = _chunk_scores(ls[cols], GroverAngles(**thetas, gamma=None), mode)
+            thetas = theta_K[block][rows], theta_M[block][rows]
+            scores = _chunk_scores(ls[cols], *thetas, mode)
             hit = (scores <= threshold) & (ls[cols] <= horizons[block][rows])
             rows, cols, scores = rows[hit], cols[hit], scores[hit]
             first = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -624,7 +633,8 @@ class TestScanRows:
         report = minimal_odd_l(angles, 1e-3, 999999)
         (l,), (score,) = scan_rows([angles.theta_K], [angles.theta_M], 1e-3, [999999])
         assert report.found and (report.l, report.score) == (l, score)
-        assert (report.fail_K, report.fail_M) == failure_kernel(report.l, angles)
+        pair = failure_kernel(report.l, angles.theta_K, angles.theta_M)
+        assert (report.fail_K, report.fail_M) == pair
 
     def test_empty_batch_and_bad_input(self):
         for horizons in ([], np.array([])):
@@ -670,7 +680,7 @@ def test_filter_keeps_hits_at_the_threshold(mode, triple):
     checked = 0
     for top in (HORIZON_CAP, 10**9 - 1):
         ls = np.arange(top - 2 * 8191, top + 1, 2, dtype=np.float64)
-        scores = _chunk_scores(ls, angles, mode)
+        scores = _chunk_scores(ls, angles.theta_K, angles.theta_M, mode)
         picks = np.concatenate([np.argsort(scores)[:10], rng.integers(0, ls.size, size=10)])
         for pick in picks:
             score = scores[pick]

@@ -12,7 +12,6 @@ from groverstop import (
     certify,
     check_applicability,
     construct_rule,
-    gamma_upper_bound,
     make_instance,
     nearest_odd,
 )
@@ -73,21 +72,19 @@ class TestApplicability:
 
 
 class TestGammaUpperBound:
+    """epsilon_bound is twice the certified strict upper bound on gamma - 1."""
+
     def test_ratio_two(self):
         inst = make_instance(10**6, 1, 2)
-        bound = gamma_upper_bound(inst)
+        bound = check_applicability(inst).epsilon_bound / 2
         assert bound == pytest.approx(math.sqrt(2) * (math.sqrt(2) - 1), abs=1e-12)
         assert angles_of(inst).gamma - 1 < bound
 
     def test_square_ratio(self):
         inst = make_instance(100, 4, 9)
-        bound = gamma_upper_bound(inst)
+        bound = check_applicability(inst).epsilon_bound / 2
         assert bound == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
         assert angles_of(inst).gamma - 1 < bound
-
-    def test_m_zero_rejected(self):
-        with pytest.raises(DegenerateM):
-            gamma_upper_bound(make_instance(4, 0, 1))
 
     def test_holds_on_random_valid_instances(self):
         rng = np.random.default_rng(5)
@@ -96,7 +93,7 @@ class TestGammaUpperBound:
             K = int(rng.integers(2, N // 2))
             M = int(rng.integers(1, K))
             inst = make_instance(N, M, K)
-            assert angles_of(inst).gamma - 1 < gamma_upper_bound(inst)
+            assert angles_of(inst).gamma - 1 < check_applicability(inst).epsilon_bound / 2
             epsilon_bound = 2 * math.sqrt(2) * (math.sqrt(K / M) - 1)
             assert check_applicability(inst).epsilon_bound == epsilon_bound
 

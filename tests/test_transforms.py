@@ -7,11 +7,11 @@ from groverstop import (
     PremiseViolated,
     angles_of,
     check_applicability,
-    iteration_bound,
+    construct_rule,
     make_instance,
     pad_for_ratio,
 )
-from groverstop.transforms import minimal_padding
+from groverstop.transforms import l_bound_of, minimal_padding
 from oracles import reduce_common_divisor
 
 
@@ -99,22 +99,24 @@ class TestPadForRatio:
 
 class TestIterationBound:
     def test_degenerate_pair(self):
-        bounds = iteration_bound(make_instance(4, 0, 1))
-        assert bounds.l_bound == pytest.approx(8.0, abs=1e-12)
-        assert bounds.m_bound == pytest.approx(4.0, abs=1e-12)
+        assert l_bound_of(4, 0, 1) == pytest.approx(8.0, abs=1e-12)
 
     def test_ratio_two(self):
         N = 10**6
-        bounds = iteration_bound(make_instance(N, 1, 2))
-        assert bounds.l_bound == pytest.approx(
+        rule = construct_rule(make_instance(N, 1, 2))
+        assert rule.l_bound == l_bound_of(N, 1, 2)
+        assert rule.l_bound == pytest.approx(
             4 * math.sqrt(N) / (math.sqrt(2) - 1), rel=1e-12
+        )
+        assert rule.m_bound == pytest.approx(
+            2 * math.sqrt(N) / (math.sqrt(2) - 1), rel=1e-12
         )
 
     def test_bound_monotone_in_gap(self):
         N = 1 << 16
         prev = None
         for K in range(2, 100):
-            bounds = iteration_bound(make_instance(N, 1, K))
+            l_bound = l_bound_of(N, 1, K)
             if prev is not None:
-                assert bounds.l_bound < prev
-            prev = bounds.l_bound
+                assert l_bound < prev
+            prev = l_bound
