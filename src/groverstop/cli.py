@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core_model import (
+    DEFAULT_EPSILON,
     angles_of,
     error_bound,
     failure_kernel,
@@ -43,7 +44,6 @@ from .diophantine import (
 )
 from .statevector import RNG_ALGORITHM, run_discrimination
 from .stopping_rule import (
-    DEFAULT_EPSILON,
     Applicability,
     certified_rules,
     certify,
@@ -70,6 +70,7 @@ _TABLE_COLUMNS = [
     ("fail_M", float),
 ]
 TABLE_FIELDS = [name for name, _ in _TABLE_COLUMNS]
+_DIAGNOSE_FIELDS = ["N", "M", "K", "l_minimal", "l_bound", "ratio", "exhausted", "horizon"]
 _ORBIT_COLUMNS = [
     ("l", int), ("x_K", float), ("x_M", float), ("strict_distance", float),
     ("relaxed_score", float),
@@ -169,7 +170,7 @@ def _refusal(app: Applicability) -> tuple[str, str] | None:
     if not app.size_condition_ok:
         return "size_condition", "applicability flag failed: size_condition"
     if not app.gamma_small_ok:
-        return "gamma_too_large", "gamma - 1 > 1/4; retry with best_effort or search"
+        return "gamma_too_large", "gamma - 1 > 1/4; retry with --best-effort or search"
     return None
 
 
@@ -202,6 +203,8 @@ def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     instance = make_instance(args.N, args.M, args.K)
     _check_horizon(args.horizon)
+    if not 0.0 < args.tol < 1.0:  # also false for NaN
+        raise ValueError(f"--tol must lie in (0, 1), got {args.tol}")
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
     report = minimal_odd_l(angles_of(instance), args.tol, horizon, args.mode)
     return EXIT_OK, _json_dump({"instance": asdict(instance), "search": asdict(report)})
@@ -389,34 +392,19 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--threshold must not be NaN")
     ranges = range(args.N, args.N + 1), _parse_range(args.M_range), _parse_range(args.K_range)
     N, M, K = _triple_columns(_grid_corners(*ranges))
+    n = N.size
     angles = rotation_angles(N, M, K)
-    l_bounds = l_bound_of(N, M, K)
-    if args.horizon is not None:
-        horizons = [args.horizon] * M.size
-    else:
-        horizons = horizon_for_bound(l_bounds).astype(np.int64).tolist()
+    l_bound = l_bound_of(N, M, K)
+    horizons = horizon_for_bound(l_bound) if args.horizon is None else np.full(n, args.horizon)
     found, _ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
-    entries = []
-    for m, k, l, horizon, l_bound in zip(
-        M.tolist(), K.tolist(), found.tolist(), horizons, l_bounds.tolist()
-    ):
-        # Exhausted scans get their lower-bound ratio from the horizon itself.
-        ratio = (l or horizon) / l_bound
-        if not l or ratio > args.threshold:
-            entries.append(
-                {
-                    "N": args.N,
-                    "M": m,
-                    "K": k,
-                    "l_minimal": l or None,
-                    "l_bound": l_bound,
-                    "ratio": ratio,
-                    "exhausted": not l,
-                    "horizon": horizon,
-                }
-            )
-    entries.sort(key=lambda e: (-e["ratio"], e["M"], e["K"]))
-    return EXIT_OK, _json_dump(entries)
+    exhausted, hits = found == 0, np.flatnonzero(found)
+    # Exhausted scans get their lower-bound ratio from the horizon itself.
+    ratio = np.where(exhausted, horizons, found) / l_bound
+    order = np.lexsort((K, M, -ratio))
+    rows = order[(exhausted | (ratio > args.threshold))[order]]
+    columns = [N, M, K, _cells(n, hits, found[hits]), l_bound, ratio, exhausted, horizons]
+    entries = zip(*[column[rows].tolist() for column in columns])
+    return EXIT_OK, _json_dump([dict(zip(_DIAGNOSE_FIELDS, row)) for row in entries])
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:

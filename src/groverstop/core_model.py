@@ -32,6 +32,7 @@ __all__ = [
     "rotation_angles",
     "failure_kernel",
     "failure_probabilities",
+    "DEFAULT_EPSILON",
     "error_bound",
 ]
 
@@ -173,6 +174,10 @@ def failure_probabilities(l: int, angles: GroverAngles) -> FailurePair:
         warnings.warn(f"failure_probabilities called with even l={l}", stacklevel=2)
     fail_K, fail_M = failure_kernel(l, angles.theta_K, angles.theta_M)
     return FailurePair(fail_K=fail_K, fail_M=fail_M)
+
+
+# The paper's worked error threshold: sin^2(2*pi/12) = 1/4.
+DEFAULT_EPSILON = 1.0 / 12.0
 
 
 def error_bound(epsilon: float) -> float:

@@ -99,13 +99,13 @@ def default_horizon(instance: ProblemInstance) -> int:
 def horizon_for_bound(l_bound):
     """``default_horizon`` from an instance's already computed ``l_bound``.
 
-    Elementwise on arrays, giving integral floats: every step is exact below
-    2**53, and a larger horizon is capped.
+    Elementwise on arrays, giving int64; in the envelope 10*l_bound is below
+    2**56, so the integral double converts exactly, and the result is capped.
     """
-    ceil, least = (np.ceil, np.minimum) if isinstance(l_bound, np.ndarray) else (math.ceil, min)
-    horizon = ceil(10.0 * l_bound)
+    array = isinstance(l_bound, np.ndarray)
+    horizon = np.ceil(10.0 * l_bound).astype(np.int64) if array else math.ceil(10.0 * l_bound)
     horizon += 1 - horizon % 2
-    return least(horizon, HORIZON_CAP)
+    return np.minimum(horizon, HORIZON_CAP) if array else min(horizon, HORIZON_CAP)
 
 
 def _chunk_scores(ls: np.ndarray, theta_K, theta_M, mode: SearchMode) -> np.ndarray:

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from .core_model import ProblemInstance, error_bound
+from .core_model import DEFAULT_EPSILON, ProblemInstance, error_bound
 
 __all__ = [
     "FULL_SIM_CAP",
@@ -279,7 +279,7 @@ def run_discrimination(
     l: int,
     trials: int,
     seed: int,
-    epsilon: float = 1.0 / 12.0,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> DiscriminationOutcome:
     """Monte Carlo estimate of the discrimination error rate under one truth.
 

@@ -29,7 +29,9 @@ from itertools import chain
 
 import numpy as np
 
-from .core_model import GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel
+from .core_model import (
+    DEFAULT_EPSILON, GroverAngles, ProblemInstance, angles_of, error_bound, failure_kernel,
+)
 from .transforms import applicability_flags, l_bound_of
 
 __all__ = [
@@ -43,10 +45,6 @@ __all__ = [
     "construct_rule",
     "certify",
 ]
-
-# The paper's worked error threshold: sin^2(2*pi/12) = 1/4.
-DEFAULT_EPSILON = 1.0 / 12.0
-
 
 class DegenerateM(ValueError):
     """M = 0: gamma is undefined; use the plain-Grover search path instead."""
@@ -111,21 +109,17 @@ class CertificateReport:
 
 def check_applicability(instance: ProblemInstance) -> Applicability:
     """Evaluate every precondition flag of the constructive rule; never raises."""
-    ordering_ok = instance.strict_regime
+    N, M, K = instance.N, instance.M, instance.K
     gamma = angles_of(instance).gamma
-    if gamma is None:
-        return Applicability(
-            ordering_ok=ordering_ok,
-            size_condition_ok=False,
-            gamma_small_ok=False,
-            epsilon_bound=None,
-        )
-    size_condition_ok, gamma_small_ok = applicability_flags(instance.N, instance.K, gamma)
+    # M = 0 has no gamma; a NaN in its place fails both flags.
+    size_condition_ok, gamma_small_ok = applicability_flags(
+        N, K, math.nan if gamma is None else gamma
+    )
     return Applicability(
-        ordering_ok=ordering_ok,
+        ordering_ok=instance.strict_regime,
         size_condition_ok=size_condition_ok,
         gamma_small_ok=gamma_small_ok,
-        epsilon_bound=2.0 * (math.sqrt(2.0) * (math.sqrt(instance.K / instance.M) - 1.0)),
+        epsilon_bound=None if M == 0 else 2.0 * (math.sqrt(2.0) * (math.sqrt(K / M) - 1.0)),
     )
 
 
@@ -152,7 +146,8 @@ def construct_rule(instance: ProblemInstance) -> StoppingRule:
             "M = 0 has no gamma; run the plain-Grover minimal-l search instead"
         )
     l_bound = l_bound_of(instance.N, instance.M, instance.K)
-    p, s, l, residual_K, residual_M = rule_terms(angles_of(instance))
+    angles = angles_of(instance)
+    p, s, l, residual_K, residual_M = rule_terms(angles.theta_K, angles.theta_M, angles.gamma)
     return StoppingRule(
         p=p,
         s=s,
@@ -165,20 +160,18 @@ def construct_rule(instance: ProblemInstance) -> StoppingRule:
     )
 
 
-def rule_terms(angles: GroverAngles):
+def rule_terms(theta_K, theta_M, gamma):
     """(p, s, l, residual_K, residual_M) of the rule, for M > 0.
 
-    Elementwise when the angles hold arrays, with int64 p, s and l.  Inside
-    the envelope l stays below 2**50, so it converts to a double exactly, as a
-    Python int does.
+    Elementwise on arrays, with int64 p, s and l.  Inside the envelope l
+    stays below 2**50, so it converts to a double exactly, as a Python int does.
     """
-    excess = angles.gamma - 1.0
-    p = nearest_odd(1.0 / (4.0 * excess))
-    s = nearest_odd(4.0 * math.pi / angles.theta_M)
+    p = nearest_odd(1.0 / (4.0 * (gamma - 1.0)))
+    s = nearest_odd(4.0 * math.pi / theta_M)
     l = p * s
     four_pi = 4.0 * math.pi
-    residual_K = abs(l * angles.theta_K / four_pi - p - 0.25)
-    residual_M = abs(l * angles.theta_M / four_pi - p)
+    residual_K = abs(l * theta_K / four_pi - p - 0.25)
+    residual_M = abs(l * theta_M / four_pi - p)
     return p, s, l, residual_K, residual_M
 
 
@@ -238,18 +231,16 @@ def certified_rules(rows, angles: GroverAngles, l_bound, epsilon: float):
     """(rows, p, s, l, failure pairs) of the certified rules among the given rows.
 
     ``construct_rule`` and ``certify`` over columns of angles and l_bound,
-    for the given rows, which must have M > 0.  The failure pair comes from
-    libm, as in ``certify``, and only for the rules that pass every flag that
-    needs no trig.
+    taken at the given rows, which must have M > 0.  The failure pair comes
+    from libm, as in ``certify``, and only for the rules that pass every flag
+    that needs no trig.
     """
-    angles = GroverAngles(
-        theta_M=angles.theta_M[rows], theta_K=angles.theta_K[rows], gamma=angles.gamma[rows]
-    )
-    p, s, l, residual_K, residual_M = rule_terms(angles)
-    flags = certificate_flags(l, residual_K, residual_M, angles.gamma, l_bound[rows], epsilon)
+    theta_K, theta_M, gamma = (a[rows] for a in (angles.theta_K, angles.theta_M, angles.gamma))
+    p, s, l, residual_K, residual_M = rule_terms(theta_K, theta_M, gamma)
+    flags = certificate_flags(l, residual_K, residual_M, gamma, l_bound[rows], epsilon)
     ready = np.flatnonzero(np.logical_and.reduce(list(flags.values())))
     # Each pair is taken apart as it comes, so no list of tuples builds up.
-    scalars = (column[ready].tolist() for column in (l, angles.theta_K, angles.theta_M))
+    scalars = (column[ready].tolist() for column in (l, theta_K, theta_M))
     fails = np.fromiter(
         chain.from_iterable(map(failure_kernel, *scalars)), dtype=np.float64
     ).reshape(-1, 2)

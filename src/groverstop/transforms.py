@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ProblemInstance, angles_of, error_bound, make_instance
+from .core_model import DEFAULT_EPSILON, ProblemInstance, angles_of, error_bound, make_instance
 
 __all__ = [
     "PaddedInstance",
@@ -62,18 +62,14 @@ def minimal_padding(a: float, epsilon: float) -> int:
     That condition forces K'/M' = (r+a)/(r+1) below (1 + epsilon/(2*sqrt(2)))^2,
     which is what the epsilon-calculus of the stopping rule needs.
     """
-    target = (a - 1.0) * math.sqrt(2.0) / epsilon
-    r = math.floor(target)
-    if r + 1 <= target:
-        r += 1
-    return max(r, 0)
+    return max(math.floor((a - 1.0) * math.sqrt(2.0) / epsilon), 0)
 
 
 def pad_for_ratio(
     M: int,
     N: int,
     a: float = 2.0,
-    epsilon: float = 1.0 / 12.0,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> PaddedInstance:
     """Pad (M, a*M, N) so the shrunken ratio K'/M' admits the constructive rule.
 
@@ -87,6 +83,8 @@ def pad_for_ratio(
     if not 1.0 < a < math.inf:
         raise ValueError(f"ratio a must be finite and exceed 1, got {a}")
     K = a * M
+    if K == math.inf:
+        raise ValueError(f"a*M must be finite, got a={a}, M={M}")
     K_int = round(K)
     if abs(K - K_int) > 1e-9:
         raise ValueError(f"a*M must be an integer, got a={a}, M={M}")
@@ -128,8 +126,8 @@ def applicability_flags(N, K, gamma):
 
     The size condition is sqrt(K) < 16*(gamma-1)^2*sqrt(N).  Its square is a
     multiplication: ``x**2`` calls libm ``pow``, which is not correctly
-    rounded, and numpy arrays square by multiplication.  A NaN gamma (M = 0
-    in a column) fails both flags.
+    rounded, and numpy arrays square by multiplication.  A NaN gamma (M = 0)
+    fails both flags.
     """
     sqrt = np.sqrt if isinstance(N, np.ndarray) else math.sqrt
     excess = gamma - 1.0

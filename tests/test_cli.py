@@ -68,7 +68,7 @@ class TestRuleCommand:
             ("1048576", "740", "800", "size_condition",
              "applicability flag failed: size_condition"),
             ("1000000", "1", "2", "gamma_too_large",
-             "gamma - 1 > 1/4; retry with best_effort or search"),
+             "gamma - 1 > 1/4; retry with --best-effort or search"),
         ],
     )
     def test_refusal_names_first_failed_flag(self, capsys, N, M, K, reason, error):
@@ -138,6 +138,14 @@ class TestSearchCommand:
         assert captured.err == (
             f"groverstop: error: --horizon must lie in [1, 2**53], got {horizon}\n"
         )
+
+    # scan_rows checks its threshold too, but under its own name, not the flag's.
+    @pytest.mark.parametrize("tol", ["2", "1", "0", "-0.5", "nan"])
+    def test_tol_outside_unit_interval_rejected(self, capsys, tol):
+        code = main(["search", "--N", "4096", "--M", "8", "--K", "12", "--tol", tol])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"groverstop: error: --tol must lie in (0, 1), got {float(tol)}\n"
 
 
 class TestOrbitCommand:
@@ -451,6 +459,32 @@ class TestDiagnoseCommand:
         assert code == 0
         assert json.loads(out) == []
 
+    @pytest.mark.parametrize("horizon", [None, 151])
+    def test_entries_match_per_row_reference(self, capsys, horizon):
+        N, epsilon, threshold = 1024, 0.05, 1.2
+        flags = [] if horizon is None else ["--horizon", str(horizon)]
+        code, out = run_cli(
+            capsys, "diagnose", "--N", str(N), "--M-range", "0:12", "--K-range", "1:40",
+            "--threshold", str(threshold), "--epsilon", str(epsilon), *flags,
+        )
+        expected = []
+        for M in range(13):
+            for K in range(M + 1, 41):
+                instance = make_instance(N, M, K)
+                scan_horizon = default_horizon(instance) if horizon is None else horizon
+                search = minimal_odd_l(angles_of(instance), error_bound(epsilon), scan_horizon)
+                l_bound = transforms.l_bound_of(N, M, K)
+                ratio = (search.l or scan_horizon) / l_bound
+                if not search.found or ratio > threshold:
+                    expected.append({
+                        "N": N, "M": M, "K": K, "l_minimal": search.l, "l_bound": l_bound,
+                        "ratio": ratio, "exhausted": not search.found, "horizon": scan_horizon,
+                    })
+        expected.sort(key=lambda e: (-e["ratio"], e["M"], e["K"]))
+        exhausted = sum(e["exhausted"] for e in expected)
+        assert code == 0 and 0 < exhausted < len(expected)
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path, capsys):
@@ -644,6 +678,33 @@ class TestBadInputIsExitOne:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(f"groverstop: error: range {spec!r}")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["table", "--N-range", "4096", "--K-range", "12:16"],
+            ["diagnose", "--N", "4096", "--K-range", "12:16", "--threshold", "1"],
+        ],
+        ids=["table", "diagnose"],
+    )
+    def test_range_spec_of_four_parts(self, capsys, command):
+        code = main([*command, "--M-range", "1:8:1:2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "groverstop: error: bad range spec '1:8:1:2'; expected START:STOP[:STEP]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--N-range", "4096"], ["--N-range", "4096", "--M-range", "8"]]
+    )
+    def test_table_needs_triples_or_every_range(self, capsys, flags):
+        code = main(["table", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "groverstop: error: provide --triples or all of --N-range/--M-range/--K-range\n"
+        )
+
     @pytest.mark.parametrize("epsilon", ["0.25", "0.75", "1e-320", "0.5"])
     def test_degenerate_epsilon_everywhere(self, capsys, epsilon):
         commands = [
@@ -673,6 +734,19 @@ class TestBadInputIsExitOne:
     def test_pad_non_finite_ratio(self, capsys, a):
         code, out = run_cli(capsys, "pad", "--M", "1", "--N", "1048576", "--a", a)
         assert (code, out) == (1, "")
+
+    def test_pad_overflowing_ratio(self, capsys):
+        # a is finite, a*M is not; round() of it would raise an uncaught OverflowError.
+        code = main(["pad", "--M", "10", "--N", "1048576", "--a", "1e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "groverstop: error: a*M must be finite, got a=1e+308, M=10\n"
+
+    def test_pad_ratio_above_half_N(self, capsys):
+        code = main(["pad", "--M", "3", "--N", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "groverstop: error: need a*M <= N/2, got a*M=6, N=4\n"
 
     # A --triples row is taken as written, never skipped like a grid corner.
     @pytest.mark.parametrize("row", ["4096 12 8", "0 0 1", "4096 5 5000", "-4 0 1"])

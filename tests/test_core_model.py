@@ -62,6 +62,11 @@ class TestHalfAngle:
         with pytest.raises(ValueError):
             half_angle(5, 4)
 
+    @pytest.mark.parametrize("N", [0, -4])
+    def test_non_positive_n_rejected(self, N):
+        with pytest.raises(ValueError, match=f"N must be positive, got {N}"):
+            half_angle(0, N)
+
     def test_strictly_increasing_in_count(self):
         N = 1 << 12
         values = [half_angle(c, N) for c in range(N + 1)]

@@ -19,7 +19,7 @@ from groverstop import (
     target_distance,
 )
 from groverstop.core_model import GroverAngles
-from groverstop import diophantine
+from groverstop import diophantine, transforms
 from groverstop.cli import TABLE_FIELDS, _triple_columns, build_table_rows, main
 from groverstop.diophantine import (
     HORIZON_CAP,
@@ -547,6 +547,18 @@ def _table_grid_rows(count):
         np.array([a.theta_M for a in angles]),
         np.array([float(default_horizon(instance)) for instance in instances]),
     )
+
+
+class TestHorizonForBound:
+    def test_column_is_int64_and_matches_default_horizon(self):
+        # Up to the capped K = M + 1 pairs at the top of the envelope.
+        triples = [(4096, 8, 12), (1024, 0, 1), (65536, 12, 13), (2**48, 2**20, 2**20 + 1),
+                   (2**48, 2**47 - 2, 2**47 - 1)]
+        N, M, K = (np.array(column) for column in zip(*triples))
+        horizons = diophantine.horizon_for_bound(transforms.l_bound_of(N, M, K))
+        assert horizons.dtype == np.int64
+        expected = [default_horizon(make_instance(*triple)) for triple in triples]
+        assert horizons.tolist() == expected and HORIZON_CAP in expected
 
 
 class TestScanRows:

@@ -126,6 +126,10 @@ class TestSimulate:
     def test_zero_steps(self):
         np.testing.assert_array_equal(simulate(4, {1}, 0), init_uniform(4))
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="m must be non-negative, got -1"):
+            simulate(4, {1}, -1)
+
     def test_above_full_sim_cap_rejected(self):
         # Unchecked, this would allocate one 32 MiB array and return it.
         with pytest.raises(ValueError, match="full-simulation cap"):

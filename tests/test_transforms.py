@@ -96,6 +96,32 @@ class TestPadForRatio:
         with pytest.raises(ValueError, match="finite"):
             pad_for_ratio(1, 1 << 20, a=math.inf)
 
+    def test_overflowing_ratio_rejected(self):
+        # a is finite, a*M is not: round() would raise OverflowError.
+        with pytest.raises(ValueError, match=r"a\*M must be finite, got a=1e\+308, M=10"):
+            pad_for_ratio(10, 1 << 20, a=1e308)
+
+
+class TestMinimalPadding:
+    # sqrt(2)/16 and sqrt(2)/8 make the target exactly 16 at a = 2 and a = 3,
+    # where r = 15 has r + 1 = target, which does not exceed it.
+    @pytest.mark.parametrize(
+        "a", [1.0 + 2.0**-30, 1.25, 1.5, 2.0, 3.0, 4.5, 17.0, 100.0]
+    )
+    @pytest.mark.parametrize(
+        "epsilon", [0.01, 0.02, 1 / 12, 0.2, 0.2499, math.sqrt(2.0) / 16, math.sqrt(2.0) / 8]
+    )
+    def test_least_r_over_target(self, a, epsilon):
+        target = (a - 1.0) * math.sqrt(2.0) / epsilon
+        r = 0
+        while not r + 1 > target:
+            r += 1
+        assert minimal_padding(a, epsilon) == r
+
+    def test_integral_target(self):
+        assert minimal_padding(2.0, math.sqrt(2.0) / 16) == 16
+        assert minimal_padding(3.0, math.sqrt(2.0) / 8) == 16
+
 
 class TestIterationBound:
     def test_degenerate_pair(self):
