@@ -8,16 +8,22 @@ are a stable contract: 0 success, 1 input error, 2 not applicable, 64 usage.
 
 CSV output is UTF-8 with LF line endings; reals are written with 17
 significant digits so parsing the file back reproduces the exact doubles.
-JSON uses the same field names, with null where CSV leaves a cell empty.
+Each cell is what Python's '%.17g' or '%d' writes, but the CSV is written a
+column at a time by array kernels, which leave only the cells outside their
+range to Python.  JSON uses the same field names, with null where CSV leaves
+a cell empty.  `table --triples` parses a plain file of integers with one
+np.loadtxt call, and any other file row by row.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -85,51 +91,170 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-_CELL_FORMAT = {int: "%d", float: "%.17g"}
-# A cell's part of its row's pattern, two bits per column.
-_NUMBER, _TRUE, _FALSE, _NONE = range(4)
+# Column kernels.  Each writes its column's cells as a NUL-padded uint8 block,
+# one row per cell, which `_csv_text` packs into one matrix; the NULs are then
+# dropped.  Cells outside a kernel's domain get Python's own %-format.
+
+# The four ASCII digits of each 0 <= i < 10**4, zero-padded, as one uint32 each.
+_DIGITS4 = (
+    (np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10)
+    .astype(np.uint8)
+    + ord("0")
+).view(np.uint32)[:, 0]
+_POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5**27 < 2**63
+_U64 = np.uint64
+_LOW32 = _U64(2**32 - 1)
+# The widest cell of each column type: '-9223372036854775808', a negative
+# subnormal in '%.17g', 'false'.
+_WIDEST = {int: 20, float: 24, bool: 5}
 
 
-def _row_format(columns: Sequence[tuple[str, type]], pattern: int) -> tuple[str, list[int]]:
-    """The %-format of rows with this pattern, and the columns whose cells it takes."""
-    specs, present = [], []
-    for i, (_, kind) in enumerate(columns):
-        cell = pattern >> 2 * i & 3
-        if cell == _NONE:
-            spec = ""
-        elif kind is bool:
-            spec = "true" if cell == _TRUE else "false"
-        else:
-            spec = _CELL_FORMAT[kind]
-            present.append(i)
-        specs.append(spec)
-    return ",".join(specs), present
+def _decimal_digits(values: np.ndarray, count: int) -> np.ndarray:
+    """The last 4*count decimal digits of each non-negative integer, as rows of ASCII."""
+    limbs = np.empty((values.size, count), dtype=np.int64)
+    rest = values
+    for i in reversed(range(count)):
+        rest, limbs[:, i] = np.divmod(rest, 10**4)
+    return np.take(_DIGITS4, limbs).view(np.uint8)
 
 
-def _csv_text(columns: Sequence[tuple[str, type]], cells: Sequence[np.ndarray]) -> str:
-    """CSV of columns whose cells are None or of their column's type: int, float or bool.
+def _int_kernel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%d' of the non-negative int64 values: (which values, their rows, right-aligned)."""
+    done = values >= 0
+    rest = values[done]
+    width = len(str(rest.max())) if rest.size else 1
+    count = -(-width // 4)
+    block = _decimal_digits(rest, count)[:, 4 * count - width :]
+    # Leading zeros become padding; a cell's last digit stays, so 0 is '0'.
+    lead = np.logical_and.accumulate(block[:, :-1] == ord("0"), axis=1)
+    block[:, :-1][lead] = 0
+    return done, block
 
-    ``cells`` holds one array per column; only an object array holds None.
-    Each row is written by one %-format, chosen by its pattern (which of its
-    cells are None, and its bool cells) and built once per pattern.  The rows
-    of a pattern are formatted together from their present cells, in place.
-    No cell holds a comma, quote or newline, so none needs quoting.
+
+def _mul_64x64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 words of each exact 128-bit product a*b, from 32-bit limbs."""
+    a_hi, a_lo, b_hi, b_lo = a >> _U64(32), a & _LOW32, b >> _U64(32), b & _LOW32
+    low, cross_1, cross_2 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    middle = (low >> _U64(32)) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
+    high = a_hi * b_hi + (cross_1 >> _U64(32)) + (cross_2 >> _U64(32)) + (middle >> _U64(32))
+    return high, (low & _LOW32) | (middle << _U64(32))
+
+
+# A '%.17g' cell's characters are taken from a source row: its 17 digits, then these.
+_FLOAT_TAIL = b".e-0123456789\0"
+
+
+@functools.cache
+def _float_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Where each character of a '%.17g' cell comes from in its source row, and the cell's width.
+
+    One row per decimal exponent -11 <= E <= 16 and count 1 <= kept <= 17 of
+    significant digits, at (E + 11) * 17 + kept - 1.  As in %g, a cell is
+    fixed point for E >= -4 and d.ddde-XX below, without trailing zeros or a
+    bare point.  A digit past the kept ones is a '0' in the source row.
+    Built on first use, so a command that writes no CSV does not build it.
+    """
+    point, e, minus, digit_0, nul = (17 + _FLOAT_TAIL.index(c) for c in b".e-0\0")
+    layouts = np.full((28 * 17, 22), nul, dtype=np.uint8)
+    widths = np.empty(28 * 17, dtype=np.intp)
+    for E in range(-11, 17):
+        for kept in range(1, 18):
+            if E >= 0:
+                codes = [*range(E + 1)] + ([point, *range(E + 1, kept)] if kept > E + 1 else [])
+            elif E >= -4:
+                codes = [digit_0, point] + [digit_0] * (-E - 1) + [*range(kept)]
+            else:
+                fraction = [point, *range(1, kept)] if kept > 1 else []
+                codes = [0, *fraction, e, minus, digit_0 + -E // 10, digit_0 + -E % 10]
+            row = (E + 11) * 17 + kept - 1
+            layouts[row, : len(codes)], widths[row] = codes, len(codes)
+    return layouts, widths
+
+
+def _float_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.17g' of the float64 x in about [1e-11, 2e15]: (which x, their rows, left-aligned).
+
+    x = mant * 2**e with a 53-bit mant, so with E = floor(log10(x)) its 17
+    significant digits are D = mant * 5**s >> shift, for s = 16 - E and
+    shift = -(e + s), rounded half to even as Python rounds.  For
+    0 <= s <= 27 and 1 <= shift <= 63 the product fits in 128 bits.  A cell
+    whose estimated E proves wrong (D outside [10**16, 10**17)) is left to
+    Python, as are zero, negatives, non-finite values and the rest of the range.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = np.floor(np.log10(x))
+    frac, exp2 = np.frexp(x)
+    s = 16.0 - E
+    shift = 53.0 - exp2 - s
+    done = (0.0 <= s) & (s <= 27.0) & (1.0 <= shift) & (shift <= 63.0)
+    rows = np.flatnonzero(done)
+    sh = shift[rows].astype(np.uint64)
+    mant = (frac[rows] * 2.0**53).astype(np.uint64)
+    high, low = _mul_64x64(mant, _POW5[s[rows].astype(np.intp)])
+    floor = (high << (_U64(64) - sh)) | (low >> sh)
+    rest, half = low & ((_U64(1) << sh) - _U64(1)), _U64(1) << (sh - _U64(1))
+    D = floor + ((rest > half) | ((rest == half) & (floor & _U64(1)).astype(bool)))
+    exact = (floor >= _U64(10**16)) & (D < _U64(10**17))
+    done[rows[~exact]] = False
+    E, D = E[rows[exact]].astype(np.intp), D[exact].astype(np.int64)
+
+    source = np.empty((D.size, 17 + len(_FLOAT_TAIL)), dtype=np.uint8)
+    source[:, :17] = _decimal_digits(D, 5)[:, 3:]
+    source[:, 17:] = np.frombuffer(_FLOAT_TAIL, dtype=np.uint8)
+    kept = 17 - np.argmax(source[:, 16::-1] != ord("0"), axis=1)  # trailing zeros dropped
+    layouts, widths = _float_layouts()
+    layout = (E + 11) * 17 + kept - 1
+    index = np.take(layouts[:, : widths[layout].max(initial=0)], layout, axis=0)
+    starts = np.arange(0, source.size, source.shape[1], dtype=np.int32)  # of each source row
+    return done, np.take(source, index + starts[:, None])
+
+
+def _cell_block(kind: type, values: np.ndarray) -> np.ndarray:
+    """The cells of a column of int, float or bool values, as NUL-padded ASCII rows."""
+    if kind is bool:
+        return np.where(values, b"true", b"false").view(np.uint8).reshape(values.size, 5)
+    kernel, spec = (_int_kernel, b"%d") if kind is int else (_float_kernel, b"%.17g")
+    done, rows = kernel(values)
+    if done.all():
+        return rows
+    others = values[~done]
+    texts = np.array([spec % value for value in others.tolist()])
+    texts = texts.view(np.uint8).reshape(others.size, -1)
+    block = np.zeros((values.size, max(rows.shape[1], texts.shape[1])), dtype=np.uint8)
+    block[done, : rows.shape[1]] = rows
+    block[~done, : texts.shape[1]] = texts
+    return block
+
+
+def _csv_text(
+    columns: Sequence[tuple[str, type]],
+    cells: Sequence[np.ndarray],
+    present: Sequence[np.ndarray | None] | None = None,
+) -> str:
+    """CSV of numeric columns of int, float or bool cells; a cell not present is left empty.
+
+    ``present`` holds each column's presence mask, or None where every cell is
+    present.  Columns are formatted one at a time, by ``_cell_block``, into one
+    uint8 matrix of the rows, each column's block trimmed to its widest cell
+    and followed by its separator; the padding is then dropped.  No cell
+    holds a comma, quote or newline, so none needs quoting.
     """
     n = len(cells[0])
-    patterns = np.zeros(n, dtype=np.int64)
-    for i, ((_, kind), column) in enumerate(zip(columns, cells)):
-        key = np.where(np.equal(column, True), _TRUE, _FALSE) if kind is bool else _NUMBER
-        if column.dtype == object:
-            key = np.where(np.equal(column, None), _NONE, key)
-        patterns |= np.left_shift(key, 2 * i)
-    lines = np.empty(n, dtype=object)
-    distinct, which = np.unique(patterns, return_inverse=True)
-    for group, pattern in enumerate(distinct.tolist()):
-        rows = np.flatnonzero(which == group)
-        fmt, present = _row_format(columns, pattern)
-        args = zip(*[cells[i][rows].tolist() for i in present]) if present else repeat(())
-        lines[rows] = np.fromiter(map(fmt.__mod__, args), dtype=object, count=rows.size)
-    return "\n".join([",".join(name for name, _ in columns), *lines.tolist()]) + "\n"
+    matrix = np.zeros((n, sum(_WIDEST[kind] + 1 for _, kind in columns)), dtype=np.uint8)
+    at = 0
+    for (_, kind), column, mask in zip(columns, cells, present or repeat(None)):
+        block = _cell_block(kind, column if mask is None else column[mask])
+        matrix[slice(None) if mask is None else mask, at : at + block.shape[1]] = block
+        at += block.shape[1] + 1
+        matrix[:, at - 1] = ord(",")
+    matrix[:, at - 1] = ord("\n")
+    header = ",".join(name for name, _ in columns) + "\n"
+    return header + matrix[:, :at].tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _with_none(column: np.ndarray, present: np.ndarray | None) -> list:
+    """The column's cells as Python values, None where not present."""
+    return column.tolist() if present is None else np.where(present, column, None).tolist()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -224,8 +349,8 @@ def cmd_orbit(args: argparse.Namespace) -> tuple[int, str]:
 
 def build_table_rows(
     counts: np.ndarray, epsilon: float, horizon: int | None = None
-) -> list[np.ndarray]:
-    """The table's columns, in ``TABLE_FIELDS`` order, for the counts' triples.
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """The table's numeric columns, in ``TABLE_FIELDS`` order, and their presence masks.
 
     ``counts`` holds the validated int64 columns N, M, K, as ``_triple_columns``
     returns them.  Each column is computed across all rows at once, by the
@@ -234,7 +359,8 @@ def build_table_rows(
     per row: asin for the angles, and cos and sin for the rules that pass
     every other certificate flag.  The failure pair is the array
     ``failure_kernel``'s at l_minimal, else the certified rule's.  A column
-    whose cells may be None is an object array of Python numbers.
+    whose cells may be missing has a bool mask of the rows that hold one
+    (its other cells are 0 or NaN); the mask of any other column is None.
     """
     N, M, K = counts
     n, bound = N.size, error_bound(epsilon)
@@ -242,31 +368,28 @@ def build_table_rows(
     l_bound = l_bound_of(N, M, K)
     # The ordering flag is ProblemInstance.strict_regime, M < K < N/2.
     applicable = (2 * K < N) & np.logical_and(*applicability_flags(N, K, angles.gamma))
-    ruled = np.flatnonzero(M > 0)
-    at, p, s, l, fails = certified_rules(ruled, angles, l_bound, epsilon)
+    ruled = M > 0
+    at, p, s, l, fails = certified_rules(np.flatnonzero(ruled), angles, l_bound, epsilon)
     horizons = horizon_for_bound(l_bound) if horizon is None else np.full(n, horizon)
     horizons[at] = np.maximum(horizons[at], l)
     found, _ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
-    hits = np.flatnonzero(found)
+    hit = found > 0
     fail_K, fail_M = np.full(n, np.nan), np.full(n, np.nan)
     fail_K[at], fail_M[at] = fails.T
-    fail_K[hits], fail_M[hits] = failure_kernel(
-        found[hits], angles.theta_K[hits], angles.theta_M[hits]
+    fail_K[hit], fail_M[hit] = failure_kernel(
+        found[hit], angles.theta_K[hit], angles.theta_M[hit]
     )
-    paired = np.flatnonzero(~np.isnan(fail_K))
-    return [
-        N, M, K, angles.theta_M, angles.theta_K, _cells(n, ruled, angles.gamma[ruled]),
-        applicable, _cells(n, at, p), _cells(n, at, s), _cells(n, at, l),
-        _cells(n, hits, found[hits]), l_bound,
-        _cells(n, paired, fail_K[paired]), _cells(n, paired, fail_M[paired]),
+    certified = np.zeros(n, dtype=bool)
+    certified[at] = True
+    rule = np.zeros((3, n), dtype=np.int64)
+    rule[:, at] = p, s, l
+    paired = ~np.isnan(fail_K)
+    columns = [
+        N, M, K, angles.theta_M, angles.theta_K, angles.gamma, applicable, *rule, found,
+        l_bound, fail_K, fail_M,
     ]
-
-
-def _cells(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """An object column of n cells: the values, as Python numbers, at the rows, else None."""
-    column = np.full(n, None, dtype=object)
-    column[rows] = values
-    return column
+    present = [None] * 5 + [ruled, None, *[certified] * 3, hit, None, paired, paired]
+    return columns, present
 
 
 def _grid_corners(ns: range, ms: range, ks: range) -> Iterator[tuple[int, int, int]]:
@@ -274,21 +397,60 @@ def _grid_corners(ns: range, ms: range, ks: range) -> Iterator[tuple[int, int, i
     return ((n, m, k) for n in ns for m in ms for k in ks if 0 <= m < k <= n)
 
 
-def _read_triples(path: str) -> list[list[str]]:
-    """The tokens of each 'N M K' line of a file; a file with none is an input error.
+def _load_triples(path: str) -> np.ndarray:
+    """The validated int64 columns N, M, K of a --triples file.
 
-    Blank lines and lines that start with '#' are skipped, commas count as
-    spaces, and a leading byte-order mark is dropped.
+    The file is read whole, as UTF-8 with universal newlines and a leading
+    byte-order mark dropped; commas count as spaces.  One ``np.loadtxt``
+    call parses a file of ASCII integers, three to a line, and one
+    ``valid_counts`` check judges it, ``make_instance`` wording the first
+    invalid row.  Any other file (a comment line, a bad token, a spelling
+    only ``int()`` takes, a value outside int64, no row at all) goes row by
+    row through ``_read_triples`` and ``_triple_columns``, which word its error.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        rows = [
-            line.replace(",", " ").split()
-            for line in map(str.strip, fh)
-            if line and not line.startswith("#")
-        ]
+        text = fh.read()
+    rows = None
+    if text.strip():  # loadtxt warns on a file without data
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x warns where it parses a float as an int.
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    io.StringIO(text.replace(",", " ")), dtype=np.int64, comments=None, ndmin=2
+                )
+        except (ValueError, OverflowError, Warning):
+            pass
+    if rows is None or rows.shape[1] != 3:
+        return _triple_columns(_read_triples(text))
+    return _validated(np.ascontiguousarray(rows.T))
+
+
+def _read_triples(text: str) -> list[list[str]]:
+    """The tokens of each 'N M K' line of a text; a text with none is an input error.
+
+    Blank lines and lines that start with '#' are skipped, and commas count
+    as spaces.
+    """
+    rows = [
+        line.replace(",", " ").split()
+        for line in map(str.strip, text.split("\n"))
+        if line and not line.startswith("#")
+    ]
     if not rows:
         raise ValueError("empty grid")
     return rows
+
+
+def _validated(counts: np.ndarray) -> np.ndarray:
+    """The columns N, M, K, once ``valid_counts`` holds for every row.
+
+    Else ``make_instance`` raises the first invalid row's error.
+    """
+    valid = valid_counts(*counts)
+    if not valid.all():
+        make_instance(*counts[:, valid.argmin()].tolist())
+    return counts
 
 
 def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
@@ -308,10 +470,7 @@ def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
             malformed = exc
             break
         values += n, m, k
-    counts = np.array(values, dtype=object).reshape(-1, 3).T
-    valid = valid_counts(*counts)
-    if not valid.all():
-        make_instance(*counts[:, valid.argmin()])  # raises the first invalid row's error
+    counts = _validated(np.array(values, dtype=object).reshape(-1, 3).T)
     if malformed:
         raise malformed
     return counts.astype(np.int64)
@@ -332,7 +491,7 @@ def _table_counts(args: argparse.Namespace) -> np.ndarray:
     is kept.
     """
     if args.triples:
-        counts = _triple_columns(_read_triples(args.triples))
+        counts = _load_triples(args.triples)
     elif args.N_range and args.M_range and args.K_range:
         ranges = [_parse_range(spec) for spec in (args.N_range, args.M_range, args.K_range)]
         counts = _triple_columns(_grid_corners(*ranges))
@@ -348,11 +507,11 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     # Bad flags fail even when every triple of the grid is skipped.
     error_bound(args.epsilon)
     _check_horizon(args.horizon)
-    columns = build_table_rows(_table_counts(args), args.epsilon, args.horizon)
+    columns, present = build_table_rows(_table_counts(args), args.epsilon, args.horizon)
     if args.format == "json":
-        rows = zip(*[column.tolist() for column in columns])
+        rows = zip(*map(_with_none, columns, present))
         return EXIT_OK, _json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows])
-    return EXIT_OK, _csv_text(_TABLE_COLUMNS, columns)
+    return EXIT_OK, _csv_text(_TABLE_COLUMNS, columns, present)
 
 
 def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:
@@ -397,12 +556,13 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[int, str]:
     l_bound = l_bound_of(N, M, K)
     horizons = horizon_for_bound(l_bound) if args.horizon is None else np.full(n, args.horizon)
     found, _ = scan_rows(angles.theta_K, angles.theta_M, bound, horizons)
-    exhausted, hits = found == 0, np.flatnonzero(found)
+    exhausted = found == 0
     # Exhausted scans get their lower-bound ratio from the horizon itself.
     ratio = np.where(exhausted, horizons, found) / l_bound
     order = np.lexsort((K, M, -ratio))
     rows = order[(exhausted | (ratio > args.threshold))[order]]
-    columns = [N, M, K, _cells(n, hits, found[hits]), l_bound, ratio, exhausted, horizons]
+    l_minimal = np.where(exhausted, None, found)
+    columns = [N, M, K, l_minimal, l_bound, ratio, exhausted, horizons]
     entries = zip(*[column[rows].tolist() for column in columns])
     return EXIT_OK, _json_dump([dict(zip(_DIAGNOSE_FIELDS, row)) for row in entries])
 

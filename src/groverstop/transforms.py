@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DEFAULT_EPSILON, ProblemInstance, angles_of, error_bound, make_instance
+from .core_model import (
+    DEFAULT_EPSILON,
+    N_ENVELOPE,
+    ProblemInstance,
+    angles_of,
+    error_bound,
+    make_instance,
+)
 
 __all__ = [
     "PaddedInstance",
@@ -82,6 +89,10 @@ def pad_for_ratio(
     error_bound(epsilon)  # validates epsilon
     if not 1.0 < a < math.inf:
         raise ValueError(f"ratio a must be finite and exceed 1, got {a}")
+    if M >= N or M > N_ENVELOPE:
+        # A valid triple needs M < K <= N <= 2**48; a larger M would not
+        # even convert to a float in the product a*M.
+        raise ValueError(f"need M < N <= 2**48, got M={M}, N={N}")
     K = a * M
     if K == math.inf:
         raise ValueError(f"a*M must be finite, got a={a}, M={M}")

@@ -24,7 +24,7 @@ from groverstop import (
     run_discrimination,
     simulate,
 )
-from groverstop.cli import TABLE_FIELDS, _triple_columns, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, _triple_columns, _with_none, build_table_rows, main
 from oracles import (
     apply_oracle,
     chebyshev_residuals,
@@ -259,8 +259,8 @@ def test_criterion_9_invariance_suite(capsys, tmp_path):
     lines = out.splitlines()
     for line, (n, m, k) in zip(lines[1:], [(1024, 8, 12), (4096, 0, 5), (4096, 32, 48)]):
         parsed = dict(zip(TABLE_FIELDS, line.split(",")))
-        columns = build_table_rows(_triple_columns([(n, m, k)]), 1.0 / 12.0)
-        row = dict(zip(TABLE_FIELDS, [column.tolist()[0] for column in columns]))
+        columns, present = build_table_rows(_triple_columns([(n, m, k)]), 1.0 / 12.0)
+        row = dict(zip(TABLE_FIELDS, [cells[0] for cells in map(_with_none, columns, present)]))
         for field, value in row.items():
             cell = parsed[field]
             if value is None:

@@ -27,7 +27,7 @@ from groverstop import (
     transforms,
 )
 from groverstop.cli import (
-    TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _triple_columns, build_table_rows, main,
+    TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _triple_columns, _with_none, build_table_rows, main,
 )
 from oracles import reduce_common_divisor
 
@@ -39,9 +39,12 @@ def run_cli(capsys, *argv):
 
 
 def _table_rows(triples, epsilon, horizon=None):
-    """build_table_rows' columns, transposed: one tuple of Python values per row."""
-    columns = build_table_rows(_triple_columns(triples), epsilon, horizon)
-    return list(zip(*[column.tolist() for column in columns]))
+    """build_table_rows' columns, transposed: one tuple of Python values per row.
+
+    A cell outside its column's presence mask is None.
+    """
+    columns, present = build_table_rows(_triple_columns(triples), epsilon, horizon)
+    return list(zip(*map(_with_none, columns, present)))
 
 
 class TestRuleCommand:
@@ -241,6 +244,14 @@ class TestTableCommand:
         code, _ = run_cli(capsys, "table", "--triples", str(triples))
         assert code == 1
 
+    @pytest.mark.parametrize("text", [" \n\t\n\n", "# N M K\n  # more\n"], ids=["blank", "comments"])
+    def test_file_without_rows_writes_one_error_line(self, capsys, tmp_path, text):
+        triples = tmp_path / "triples.txt"
+        triples.write_text(text)
+        code = main(["table", "--triples", str(triples)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "groverstop: error: empty grid\n")
+
     def test_csv_matches_csv_writer(self):
         columns = [("a", float), ("b_c", bool), ("d", int), ("e", float)]
         rows = [
@@ -266,8 +277,11 @@ class TestTableCommand:
         writer.writerow([name for name, _ in columns])
         for row in rows:
             writer.writerow([cell(value) for value in row])
-        cells = [np.array(column, dtype=object) for column in zip(*rows)]
-        assert _csv_text(columns, cells) == reference.getvalue()
+        cells, present = [], []
+        for (_, kind), column in zip(columns, zip(*rows)):
+            cells.append(np.array([kind() if v is None else v for v in column], dtype=kind))
+            present.append(np.array([v is not None for v in column]))
+        assert _csv_text(columns, cells, present) == reference.getvalue()
 
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
@@ -330,14 +344,33 @@ def _triples_line(draw):
     return draw(_SEPARATOR).join(tokens)
 
 
+def _load_quietly(path):
+    """cli._load_triples(path), which must write nothing to stderr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return cli._load_triples(path)
+    finally:
+        assert err.getvalue() == ""
+
+
 class TestTriplesReader:
     """The columnar reader takes --triples rows as the row-by-row reference does."""
 
+    # The examples after the first three are where np.loadtxt and int() part
+    # ways: the reader must fall back to its row-by-row path there.
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_triples_line(), max_size=12), st.sampled_from(["\n", "\r\n"]))
     @example(["4096 12 8", "4096 8 x"], "\n")
     @example([f"{2**70} 1 2", "4096 8 x"], "\n")
     @example(["4096 8 x", "4096 12 8"], "\n")
+    @example(["4096 8 12 # x"], "\n")
+    @example(["4096 8 12", "1_0 2 3", "1024,4,6"], "\n")
+    @example(["4096 8 12", "\u0664\u0662 1 2", "1024 4 6"], "\r\n")
+    @example(["4096 8 12", f"{2**63} 1 2"], "\n")
+    @example(["4096 8 12", f"{2**63 - 1} 1 2"], "\n")
+    @example(["   ", "\t", ""], "\n")
+    @example(["# N M K", "  # 4096 8 12"], "\r\n")
     def test_matches_row_by_row_reference(self, tmp_path_factory, lines, newline):
         path = tmp_path_factory.mktemp("triples") / "rows.txt"
         path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
@@ -345,12 +378,25 @@ class TestTriplesReader:
             expected = _reference_triples(path)
         except ValueError as exc:
             with pytest.raises(type(exc)) as raised:
-                _triple_columns(cli._read_triples(path))
+                _load_quietly(path)
             assert str(raised.value) == str(exc)
         else:
-            counts = _triple_columns(cli._read_triples(path))
+            counts = _load_quietly(path)
             assert counts.dtype == np.int64 and counts.shape == (3, len(expected))
             assert list(zip(*counts.tolist())) == expected
+
+    def test_plain_file_takes_one_loadtxt_parse(self, tmp_path, monkeypatch):
+        # A file of ASCII integers, three to a line, never reaches the row-by-row path.
+        def row_by_row(rows):
+            raise AssertionError("row-by-row path taken")
+
+        monkeypatch.setattr(cli, "_triple_columns", row_by_row)
+        path = tmp_path / "rows.txt"
+        path.write_bytes("\ufeff4096 8 12\r\n\r\n1024, 4, 6\r\n+7 -0 1\n".encode("utf-8"))
+        assert cli._load_triples(path).tolist() == [[4096, 1024, 7], [8, 4, 0], [12, 6, 1]]
+        path.write_text("4096 8 12\n4096 12 8\n")
+        with pytest.raises(ValueError, match="need M < K, got M=12, K=8"):
+            cli._load_triples(path)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -371,6 +417,74 @@ class TestTriplesReader:
                 seen.add(family)
                 expected.append((N, M, K))
         assert list(zip(*cli._table_counts(args).tolist())) == expected
+
+
+def _cell_texts(kind, values):
+    """The cells cli._cell_block writes for the values, padding dropped."""
+    block = cli._cell_block(kind, np.asarray(values, dtype=kind))
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in block]
+
+
+class TestCellKernels:
+    """The column kernels write what Python's %-format writes, cell for cell."""
+
+    def check_floats(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert _cell_texts(float, values) == ["%.17g" % value for value in values.tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_float_random_bit_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        # Any bits, so every exponent; then bits whose exponent lies in the kernel's range.
+        bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+        near = rng.integers(1023 - 40, 1023 + 52, size=2000, dtype=np.uint64)
+        bits[1000:] = bits[1000:] & np.uint64(2**52 - 1) | near[1000:] << np.uint64(52)
+        self.check_floats(bits.view(np.float64))
+
+    def test_float_powers_of_ten_and_neighbours(self):
+        powers = [float(f"1e{k}") for k in range(-13, 19)]
+        below = np.nextafter(powers, 0.0)
+        self.check_floats(powers + below.tolist() + np.nextafter(powers, math.inf).tolist())
+        self.check_floats(np.nextafter(below, 0.0))
+
+    # m / 2**j has the digits of m * 5**j.  For odd m with m * 5**j in
+    # [10**17, 10**18) that is 18 significant digits, the last a 5: a tie at
+    # 17.  j = 17 holds the odd/2**17 in [1, 2); j from 3 to 25 spans about
+    # 1e-7 to 1e15.
+    @pytest.mark.parametrize("j", [3, 8, 13, 17, 21, 25])
+    def test_float_exact_ties_round_half_to_even(self, j):
+        if j == 17:
+            m = np.arange(2**17 + 1, 2**18, 2)
+        else:
+            lo, hi = -(-(10**17) // 5**j), 10**18 // 5**j
+            m = np.unique(np.linspace(lo, hi - 1, 20000).astype(np.int64) | 1)
+        assert all(10**17 <= value * 5**j < 10**18 for value in m.tolist())
+        ties = np.ldexp(m.astype(np.float64), -j)
+        self.check_floats(ties)
+        # The kernel writes them, but for a few just below a power of ten,
+        # where log10 rounds up and the estimated exponent is one too large.
+        done, _ = cli._float_kernel(ties)
+        assert done.mean() > 0.999
+
+    def test_float_special_values(self):
+        self.check_floats([
+            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+            -2.2250738585072014e-308, 1e-300, -1.5, -0.1, -1e-5, 1.7976931348623157e308,
+            1e15, 2.0**53, 1e16, 1e17, 123456789012345680.0,
+        ])
+        assert _cell_texts(float, []) == []
+
+    def test_int_edges(self):
+        values = [0, 9, 10, 99, 100, 9999, 10**4, 2**63 - 1, -1, -10, -(2**63), 7, 0]
+        assert _cell_texts(int, values) == ["%d" % value for value in values]
+        assert _cell_texts(int, [0]) == ["0"]
+        assert _cell_texts(int, []) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=50))
+    def test_int_any_values(self, values):
+        assert _cell_texts(int, values) == ["%d" % value for value in values]
 
 
 class TestExperimentCommand:
@@ -741,6 +855,15 @@ class TestBadInputIsExitOne:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "groverstop: error: a*M must be finite, got a=1e+308, M=10\n"
+
+    @pytest.mark.parametrize("M, N", [(10**400, 4), (10**400, 10**401), (2**48 + 1, 2**49)])
+    def test_pad_M_beyond_N_or_envelope(self, capsys, M, N):
+        # M is rejected before a*M, which raised an uncaught OverflowError
+        # for an M too large for a double.
+        code = main(["pad", "--M", str(M), "--N", str(N)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"groverstop: error: need M < N <= 2**48, got M={M}, N={N}\n"
 
     def test_pad_ratio_above_half_N(self, capsys):
         code = main(["pad", "--M", "3", "--N", "4"])

@@ -20,7 +20,7 @@ from groverstop import (
 )
 from groverstop.core_model import GroverAngles
 from groverstop import diophantine, transforms
-from groverstop.cli import TABLE_FIELDS, _triple_columns, build_table_rows, main
+from groverstop.cli import TABLE_FIELDS, _triple_columns, _with_none, build_table_rows, main
 from groverstop.diophantine import (
     HORIZON_CAP,
     SCAN_CHUNK,
@@ -429,8 +429,8 @@ class TestReportsCarryTheScansPair:
     def test_table_pair_at_l_minimal_is_the_array_kernel(self):
         triples = [(N, M, K) for N in range(65536, 1048577, 131072)
                    for M in range(1, 41, 3) for K in range(2, 61, 5) if M < K]
-        columns = build_table_rows(_triple_columns(triples), 0.02)
-        rows = [dict(zip(TABLE_FIELDS, row)) for row in zip(*[c.tolist() for c in columns])]
+        columns, present = build_table_rows(_triple_columns(triples), 0.02)
+        rows = [dict(zip(TABLE_FIELDS, row)) for row in zip(*map(_with_none, columns, present))]
         rows = [row for row in rows if row["l_minimal"]]
         ls = np.array([row["l_minimal"] for row in rows], float)
         fail_K, fail_M = failure_kernel(

@@ -69,6 +69,13 @@ GOLDEN = [
         0,
         "7b6c3178ae6091eb4600be2bfc796cb46511473058145e4a57f9e1b94e5b1c1b",
     ),
+    # Recorded before the CSV cells were written by array kernels: 100000
+    # rows, most of their '%.17g' cells in the kernel's range.
+    (
+        "orbit --N 1048576 --M 37 --K 41 --l-max 199999",
+        0,
+        "cfac49e1c3c9a0935f82c64eac3471b766f539108b0af97b674d7a20a80b4155",
+    ),
     # Recorded with one Generator per trial; 70000 trials cross several blocks
     # of the vectorised draw, and 2**32 + 1 is a two-word seed.
     (

@@ -91,6 +91,8 @@ class TestPadForRatio:
             pad_for_ratio(3, 1 << 20, a=1.5)  # a*M not integral
         with pytest.raises(ValueError):
             pad_for_ratio(1, 100, epsilon=1.5)
+        with pytest.raises(ValueError, match=r"need M < N <= 2\*\*48"):
+            pad_for_ratio(10**400, 4)  # M too large for a double
 
     def test_non_finite_ratio_rejected(self):
         with pytest.raises(ValueError, match="finite"):
