@@ -121,7 +121,8 @@ def half_angle(count, N):
     ``np.arcsin`` differs from it in the last bit on about one argument in ten.
     """
     if isinstance(count, np.ndarray):
-        return np.array([math.asin(x) for x in np.sqrt(count / N).tolist()])
+        ratios = np.sqrt(count / N)
+        return np.fromiter(map(math.asin, ratios.tolist()), np.float64, count=ratios.size)
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if count < 0 or count > N:

@@ -23,6 +23,14 @@ Swierczkowski 1959), so a scan scores only where runs of both coordinates
 intersect, in order.  The runs are widened by a bound on the float error of
 the turn counts (``_first_hits``, ``_relaxed_reach``), so they hold every l
 the score accepts, which the same elementwise kernel scores as it would every l.
+
+A scan starts each row at a certified lower bound on its first hit
+(``_small_divisor_starts``).  Where gamma = theta_K/theta_M lies near a/b with
+small odd b (the paper's "small divisors", where the search is slow), the
+returns of l*theta_M to 0 stay far from those of l*theta_K to its target until
+j*|gamma - a/b| makes up the distance of a*j/b from it, at least 1/(2b)
+(relaxed) or 1/(4b) (strict); the scan skips the l before, and a row whose
+bound passes its horizon is exhausted with no l scored.
 """
 
 from __future__ import annotations
@@ -136,6 +144,99 @@ def _relaxed_reach(threshold: float) -> float:
 _TURN_AND_SHIFT = {"relaxed": (2.0 * math.pi, 0.5), "strict": (4.0 * math.pi, -0.25)}
 
 
+def _radius(threshold: float, mode: SearchMode) -> float:
+    """Distance in turns within which a hit's turn counts lie, before widening."""
+    return _relaxed_reach(threshold) if mode == "relaxed" else threshold
+
+
+def _widened(radius, w, horizons):
+    """The radius plus (H*w + 8)*2^-49 turns: the reach B of ``_first_hits``."""
+    return radius + (horizons * w + 8.0) * 2.0**-49
+
+
+_UP, _DOWN = 1.0 + 2.0**-48, 1.0 - 2.0**-48  # outward rounding, far above float error
+
+
+def _odd_denominators(gamma, b_max):
+    """Odd denominators b <= b_max of gamma's convergents and semiconvergents.
+
+    One column per candidate, 1 where a row has none.  Between convergents
+    with denominators q_(k-1) and q_(k+1), the semiconvergents have
+    denominators b = m*q_k + q_(k-1), m = 1..a_(k+1); over them |gamma*b - a|
+    and s - C*b (``_small_divisor_starts``) are both linear in m, so the
+    bound is monotone in m, and the first and last odd b up to b_max are the
+    ones worth trying.  The partial quotients come from gamma's float
+    expansion: any odd b gives a sound bound, so rounding only weakens one.
+    """
+    x = gamma - np.floor(gamma)
+    q_prev, q = np.zeros_like(gamma), np.ones_like(gamma)
+    columns, live = [], np.arange(gamma.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live.size:
+            inverse = 1.0 / x[live]
+            a = np.floor(inverse)
+            x[live] = inverse - a
+            qp, qq = q_prev[live], q[live]
+            top = np.minimum(a, np.floor((b_max[live] - qp) / qq))
+            # b is odd for every m where q_k is even, else for m of q_(k-1)'s other parity.
+            odd_q = qq % 2
+            for m in (1.0 + odd_q * (qp % 2), top - odd_q * ((top + qp + 1.0) % 2)):
+                column = np.ones_like(gamma)
+                column[live] = np.where((m >= 1.0) & (m <= top), m * qq + qp, 1.0)
+                columns.append(column)
+            q_prev[live], q[live] = qq, a * qq + qp
+            live = live[q[live] <= b_max[live]]
+    return np.stack(columns, axis=1)
+
+
+def _divisor_bound(gamma, b, C, s):
+    """Least integer j >= 0 that odd b allows where gamma*j lies within C of the target.
+
+    s/b - C over |gamma - a/b| (a = rint(gamma*b)), a lower bound on j: s/b
+    rounded down, |gamma - a/b| up and kept above gamma*2^-48, the quotient
+    down.  j is an integer, so the bound rounds up to one.
+    """
+    gap = np.abs(gamma * b - np.rint(gamma * b)) / b * _UP + gamma * 2.0**-48
+    return np.maximum(np.ceil((s / b * _DOWN - C) / gap * _DOWN), 0.0)
+
+
+def _small_divisor_starts(theta_K, theta_M, threshold, horizons, mode):
+    """Each row's certified lower bound on its first hit: an odd l to start its scan at.
+
+    A hit at odd l <= H needs x = l*w_M within B_M of an integer j >= 0 and
+    gamma*x = l*w_K within B_K of the target (Z + 1/2 relaxed, Z + 1/4
+    strict), where w = theta/turn, B is ``_first_hits``' reach and gamma =
+    theta_K/theta_M; so gamma*j lies within C = B_K + gamma*B_M of it.  For
+    odd b each a*j/b is at least s/b from the target (s = 1/2 relaxed, 1/4
+    strict; |shift|), so j*|gamma - a/b| >= s/b - C, and l*w_M >= j - B_M.
+    Every a/b with odd b gives a bound, positive only where b < s/C: b = 1
+    for every row, and gamma's odd-denominator convergents and
+    semiconvergents (``_odd_denominators``) where s/C >= 3, never at the
+    default epsilon.  Rounded outward: C up, the bound on j as
+    ``_divisor_bound`` says, B_M and w_M up and l down, to odd.
+    A row with a zero theta starts at 1, and so does one whose bound is not
+    a number (a subnormal theta_M).
+    """
+    turn, shift = _TURN_AND_SHIFT[mode]
+    s, radius = abs(shift), _radius(threshold, mode)
+    starts = np.ones_like(horizons)
+    rows = np.flatnonzero((theta_K > 0.0) & (theta_M > 0.0))
+    w_K, w_M, H = theta_K[rows] / turn, theta_M[rows] / turn, horizons[rows]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gamma = theta_K[rows] / theta_M[rows]
+        B_M = _widened(radius, w_M, H)
+        C = (_widened(radius, w_K, H) + gamma * B_M) * _UP
+        j = _divisor_bound(gamma, 1.0, C, s)
+        deep = np.flatnonzero(s / C >= 3.0)
+        if deep.size:
+            b = _odd_denominators(gamma[deep], s / C[deep])
+            better = _divisor_bound(gamma[deep, None], b, C[deep, None], s).max(axis=1)
+            j[deep] = np.maximum(j[deep], better)
+        l = np.minimum(np.floor((j - B_M * _UP) / (w_M * _UP) * _DOWN), _L_EXACT)
+    starts[rows] = np.where(l > 1.0, l - (1.0 - l % 2.0), 1.0)
+    return starts
+
+
 def _ranges(start, count):
     """(index of its range, value) of each element of the ranges [start, start + count)."""
     owner = np.repeat(np.arange(count.size), count)
@@ -162,10 +263,11 @@ def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
     the next round resumes at the first i left out.  Hits start within the
     runs' widening, H*2^-50 + 2^-47/v i for small theta, of an intersection's
     start, hence n.  No round holds more than SCAN_CHUNK scores or runs, and a
-    residue stops at its row's first hit.
+    residue stops at its row's first hit; one that starts past its horizon
+    enters no round.
     """
     turn, shift = _TURN_AND_SHIFT[mode]
-    radius = _relaxed_reach(threshold) if mode == "relaxed" else threshold
+    radius = _radius(threshold, mode)
     w = np.stack([theta_K, theta_M]) / turn
     # Runs per i of each stride, and about 64 per residue: q takes the fewest.
     q = np.ones(horizons.size, np.int64)
@@ -179,7 +281,7 @@ def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
     offset = 2.0 * (np.arange(parent.size) - (np.cumsum(q) - q)[parent]) + 1.0
     stride, w, horizons = 2.0 * q[parent], w[:, parent], horizons[parent]
     theta_K, theta_M, starts = theta_K[parent], theta_M[parent], starts[parent]
-    reach = radius + (horizons * w + 8.0) * 2.0**-49
+    reach = _widened(radius, w, horizons)
     v = stride * w - np.rint(stride * w)
     u = np.copysign(1.0, v) * (offset * w + np.array([[shift], [0.0]]))
     v = np.maximum(np.abs(v), 2.0**-200)  # theta = 0: one run, of every i or of none
@@ -189,7 +291,7 @@ def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
     frontier = (starts - offset) / stride  # every i below it is scanned
     found_l, found_score = np.zeros(parent.size, np.int64), np.full(parent.size, np.nan)
     n = 2 + int(horizons.max(initial=1.0) * 2.0**-48)
-    active = np.arange(parent.size)  # residues still scanning
+    active = np.flatnonzero(frontier <= last)  # residues still scanning
     reps, done = 1, 0
     while active.size:
         block = active[done : done + max(1, SCAN_CHUNK // (2 * reps * n))]
@@ -248,7 +350,10 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
     with, so a relaxed score is the pair's maximum.
 
     Rows are scanned together, in rounds over blocks of rows, through the runs
-    of odd l where both coordinates are near their targets (``_first_hits``).
+    of odd l where both coordinates are near their targets (``_first_hits``),
+    each from its small-divisor bound (``_small_divisor_starts``): no l below
+    it is within the threshold, so a row whose bound passes its horizon is
+    reported not found with no l scored.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -258,7 +363,8 @@ def scan_rows(theta_K, theta_M, threshold: float, horizons, mode: SearchMode = "
     horizons = np.minimum(np.asarray(horizons), _L_EXACT).astype(np.float64)
     if horizons.size and horizons.min() < 1:
         raise ValueError(f"horizon must be >= 1, got {horizons.min():.0f}")
-    return _first_hits(theta_K, theta_M, threshold, np.ones_like(horizons), horizons, mode)
+    starts = _small_divisor_starts(theta_K, theta_M, threshold, horizons, mode)
+    return _first_hits(theta_K, theta_M, threshold, starts, horizons, mode)
 
 
 def minimal_odd_l(

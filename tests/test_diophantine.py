@@ -18,7 +18,7 @@ from groverstop import (
     orbit_coords,
     target_distance,
 )
-from groverstop.core_model import GroverAngles
+from groverstop.core_model import DEFAULT_EPSILON, GroverAngles
 from groverstop import diophantine, transforms
 from groverstop.cli import TABLE_FIELDS, _triple_columns, _with_none, build_table_rows, main
 from groverstop.diophantine import (
@@ -277,7 +277,9 @@ class TestGrowingScan:
     A round scores, for each row, the first odd l of each intersection of
     the runs of its two coordinates (its chunk of l), and a row's next round
     resumes at the first l it left out.  Each case matches one whole-range
-    array.
+    array.  The rounds are pinned on scans from the given first l (1 or the
+    window's), since ``scan_rows`` starts a row at its small-divisor bound,
+    past rounds these cases pin; ``minimal_odd_l`` must find the same.
     """
 
     @pytest.mark.parametrize("mode, threshold", STRICT_AND_RELAXED)
@@ -285,14 +287,13 @@ class TestGrowingScan:
     def test_minimal_odd_l_hit_on_chunk_boundary(self, mode, threshold, position, monkeypatch):
         angles, start = _edge_case(position, mode)
         l_ref, score_ref = _reference_scan(angles, threshold, start + 20000, mode, start)
-        rounds = _recording(monkeypatch, "_chunk_scores")
         for horizon in (l_ref, l_ref + 2 * SCAN_CHUNK):  # the hit ends the scan, or not
-            rounds.clear()
             if start == 1:
                 report = minimal_odd_l(angles, threshold, horizon, mode)
                 assert report.found and (report.l, report.score) == (l_ref, score_ref)
-            else:
-                assert _window_scan(angles, threshold, start, horizon, mode) == (l_ref, score_ref)
+            rounds = _recording(monkeypatch, "_chunk_scores")
+            assert _window_scan(angles, threshold, start, horizon, mode) == (l_ref, score_ref)
+            monkeypatch.undo()
             scored = [set(ls.tolist()) for ls, *_ in rounds]
             hit_round = next(r for r, ls in enumerate(scored) if l_ref in ls)
             assert l_ref - 2 not in scored[hit_round]  # the first l of its chunk
@@ -331,10 +332,11 @@ class TestGrowingScan:
         for mode, threshold in STRICT_AND_RELAXED:
             assert _reference_scan(angles, threshold, horizon, mode) is None
             rounds = _recording(monkeypatch, "_chunk_scores")
-            report = minimal_odd_l(angles, threshold, horizon, mode)
-            assert not report.found and report.l is None and report.horizon == horizon
+            assert _window_scan(angles, threshold, 1, horizon, mode) is None
             assert len(rounds) > 8
             monkeypatch.undo()
+            report = minimal_odd_l(angles, threshold, horizon, mode)
+            assert not report.found and report.l is None and report.horizon == horizon
 
     def test_hit_in_a_resumed_intersection(self):
         # Within 2^-42 of 1, the relaxed radius rounds up to half a turn while
@@ -541,6 +543,11 @@ def _table_grid_rows(count):
             M = int(rng.integers(1, 201))
             K = M + int(rng.integers(1, 4 * M + 1))
         instances.append(make_instance(N, M, K))
+    return _columns(instances)
+
+
+def _columns(instances):
+    """(theta_K, theta_M, default horizons) of the instances, as float arrays."""
     angles = [angles_of(instance) for instance in instances]
     return (
         np.array([a.theta_K for a in angles]),
@@ -709,3 +716,98 @@ def test_filter_keeps_hits_at_the_threshold(mode, triple):
                         assert _bits(found[1]) == _bits(scores[hits[0]])
                     checked += 1
     assert checked >= 200
+
+
+@st.composite
+def _near_small_divisor(draw):
+    """A triple whose gamma, about sqrt(K/M), lies near a/b with small odd b."""
+    b = draw(st.sampled_from([1, 3, 5, 7, 9, 11]))
+    a = draw(st.integers(b + 1, 4 * b))
+    M = draw(st.integers(1, 4000))
+    K = max(M + 1, round(M * a * a / (b * b)) + draw(st.integers(-2, 2)))
+    return make_instance(draw(st.integers(max(K, 1 << 16), 1 << 48)), M, K)
+
+
+# gamma within 7e-9 of 3: no relaxed hit below l = 4.38e12 at threshold 0.0157.
+SHOWCASE = make_instance(7104134430, 11, 99)
+
+
+class TestSmallDivisorBound:
+    """Scans start at a certified lower bound on each row's first hit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instances=st.lists(st.one_of(_triples(), _near_small_divisor()), min_size=1, max_size=8),
+        mode=st.sampled_from(["relaxed", "strict"]),
+        epsilon=st.floats(0.005, DEFAULT_EPSILON),
+    )
+    def test_scan_from_the_bound_is_the_scan_from_one(self, instances, mode, epsilon):
+        threshold = error_bound(epsilon)
+        theta_K, theta_M, horizons = _columns(instances)
+        starts = diophantine._small_divisor_starts(theta_K, theta_M, threshold, horizons, mode)
+        assert (starts >= 1).all() and (starts % 2 == 1).all()
+        found = scan_rows(theta_K, theta_M, threshold, horizons, mode)
+        from_one = _first_hits(theta_K, theta_M, threshold, np.ones_like(horizons), horizons, mode)
+        assert b"".join(a.tobytes() for a in found) == b"".join(a.tobytes() for a in from_one)
+        hit = from_one[0] > 0
+        assert (from_one[0][hit] >= starts[hit]).all()
+
+    def test_table_grid_rows_match_the_linear_scan(self):
+        # At epsilon 0.02 the bound passes l = 1 on most of these rows, and
+        # convergents with b > 1 join in.
+        theta_K, theta_M, horizons = _table_grid_rows(2000)
+        threshold = error_bound(0.02)
+        starts = diophantine._small_divisor_starts(theta_K, theta_M, threshold, horizons, "relaxed")
+        expected = _linear_scan_rows(theta_K, theta_M, threshold, horizons, "relaxed")
+        found = scan_rows(theta_K, theta_M, threshold, horizons)
+        assert b"".join(a.tobytes() for a in found) == b"".join(a.tobytes() for a in expected)
+        assert (starts > 1).sum() > 1000 and (starts > horizons).any()
+
+    @pytest.mark.parametrize(
+        "angles, threshold, horizon, mode",
+        [
+            (angles_of(SHOWCASE), 0.0157, 10**12 + 1, "relaxed"),
+            (angles_of(SHOWCASE), 0.0157, 10**12 + 1, "strict"),
+            # gamma = 1: gamma*j is never near Z + 1/2 (Z + 1/4), though the
+            # outward rounding of |gamma - 1| caps the bound near 5e15.
+            (GroverAngles(theta_M=math.pi / 51, theta_K=math.pi / 51, gamma=None), 1e-12,
+             10**15 + 1, "relaxed"),
+            (GroverAngles(theta_M=math.pi / 51, theta_K=math.pi / 51, gamma=None), 1e-9,
+             10**15 + 1, "strict"),
+        ],
+    )
+    def test_row_bounded_past_its_horizon_scores_nothing(
+        self, angles, threshold, horizon, mode, monkeypatch
+    ):
+        scored = _recording(monkeypatch, "_chunk_scores")
+        report = minimal_odd_l(angles, threshold, horizon, mode)
+        assert not report.found and report.l is None and report.horizon == horizon
+        assert scored == []
+
+    def test_no_continued_fraction_at_the_default_epsilon(self, monkeypatch):
+        # Only b = 1 can leave slack: relaxed, where gamma < 2; strict, nowhere.
+        theta_K, theta_M, horizons = _table_grid_rows(4000)
+        gamma = theta_K / theta_M
+        expansions = _recording(monkeypatch, "_odd_denominators")
+        for mode in ("relaxed", "strict"):
+            threshold = error_bound(DEFAULT_EPSILON)
+            starts = diophantine._small_divisor_starts(theta_K, theta_M, threshold, horizons, mode)
+            assert ((starts > 1) == ((gamma < 2) & (mode == "relaxed"))).all()
+        assert expansions == []
+        diophantine._small_divisor_starts(theta_K, theta_M, error_bound(0.02), horizons, "relaxed")
+        assert len(expansions) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.integers(0, 12).map(lambda k: 2 * k + 1),
+        a=st.integers(0, 200),
+        offset=st.floats(-1e-9, 1e-9),
+    )
+    @example(b=1, a=0, offset=2.225073858507e-311)  # a subnormal gamma: 1/gamma overflows
+    def test_odd_denominators_hold_each_close_odd_b(self, b, a, offset):
+        # a/b in lowest terms within 1/(2b^2) of gamma is a convergent of it.
+        if math.gcd(a, b) != 1 or a + offset * b <= 0:
+            return
+        gamma = np.array([a / b + offset])
+        denominators = diophantine._odd_denominators(gamma, np.array([30.0]))
+        assert b in denominators and (denominators % 2 == 1).all() and (denominators <= 30).all()

@@ -285,6 +285,13 @@ GOLDEN = [
         0,
         "702a1075c5f5aade6d07b43642a039aed1e0e17a1e213f858ef6231696770c63",
     ),
+    # Recorded while every scan started at l = 1.  gamma is within 7e-9 of
+    # 3: no relaxed hit lies below l = 4.38e12, so a scan to 10^12 finds none.
+    (
+        "search --N 7104134430 --M 11 --K 99 --tol 0.0157 --horizon 1000000000001",
+        0,
+        "6b21a09d4baa939be204afdef6b1faf98941080620fe0cdee4fffb0177ff0508",
+    ),
 ]
 
 
@@ -348,6 +355,16 @@ def test_golden_envelope_edge_table(capsys, tmp_path, fmt, digest):
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of b""
 CRLF_TRIPLES = "# header\r\n4096,8,12\r\n\r\n1024, 4, 6\r\n  # note\r\n65536 12 13\r\n"
+# Rows whose gamma lies near a/b with small odd b (3, 5/3, 7/5, 9/7, 11/9,
+# 13/11, 1, 5), and a few others (3/2, M = 0, applicable rows): at epsilon
+# 0.02 most are exhausted or hit late.  Recorded while every scan started at
+# l = 1, before scans started at the small-divisor bound on l_minimal.
+SMALL_DIVISOR_TRIPLES = (
+    "1048576 11 99\n7104134430 11 99\n1048576 9 25\n1048576 25 49\n16777216 49 81\n"
+    "16777216 81 121\n16777216 121 169\n65536 4 9\n1048576 100 101\n1073741824 50 51\n"
+    "281474976710656 1000 1001\n4194304 1 9\n4194304 1 25\n1048576 3 27\n268435456 20 180\n"
+    "1048576 0 5\n1048576 37 41\n262144 12 13\n65536 8 12\n"
+)
 
 # `table` over --triples files: (file text, further flags, exit code, stdout
 # sha256, stderr).  Recorded while each row was parsed and passed to
@@ -379,6 +396,8 @@ TRIPLES_PINS = [
      "need M < K, got M=12, K=8"),
     ("\ufeff4096 8 12\n1024 4 6\n", [], 0,
      "fca79b0a91d0ffddc6f542b8a9c4577e041e7e9d6e7bb287f0b316e47d405444", None),
+    (SMALL_DIVISOR_TRIPLES, ["--epsilon", "0.02"], 0,
+     "592ba05551a772c7d1d2fcfd63e9870af88037221c860e14bb919825eb147c5b", None),
 ]
 
 
