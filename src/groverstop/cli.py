@@ -1,18 +1,23 @@
 """Command-line front end: rule | search | orbit | table | experiment | pad | diagnose.
 
-Each command is a function from its parsed flags to its exit code and report
-text; `main` writes the text, to stdout or to the file named by --out, which
-every command takes.  So the output is a pure function of the flags (plus the
-seed where one applies); no environment variables are consulted.  Exit codes
-are a stable contract: 0 success, 1 input error, 2 not applicable, 64 usage.
+Each command is a function from its parsed flags to its exit code and its
+report, as pieces of text; `main` writes the pieces in order, to stdout or to
+the file named by --out, which every command takes.  A command validates all
+of its input before it returns, so bad input writes nothing.  The output is
+a pure function of the flags (plus the seed where one applies); no
+environment variables are consulted.  Exit codes are a stable contract: 0
+success, 1 input error, 2 not applicable, 64 usage.
 
 CSV output is UTF-8 with LF line endings; reals are written with 17
 significant digits so parsing the file back reproduces the exact doubles.
-Each cell is what Python's '%.17g' or '%d' writes, but the CSV is written a
-column at a time by array kernels, which leave only the cells outside their
-range to Python.  JSON uses the same field names, with null where CSV leaves
-a cell empty.  `table --triples` parses a plain file of integers with one
-np.loadtxt call, and any other file row by row.
+Each cell is what Python's '%.17g' or '%d' writes, but the CSV is formatted
+in blocks of rows, a column at a time, by array kernels, which leave only the
+cells outside their range to Python.  Each block is written as it is made,
+so memory stays bounded per block: `orbit` also computes its rows per block,
+while `table` keeps its columns whole, as its scan runs all rows together.
+JSON uses the same field names, with null where CSV leaves a cell empty.
+`table --triples` parses a plain file of integers with one np.loadtxt call,
+and any other file row by row; a range grid is built as arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from .core_model import (
     DEFAULT_EPSILON,
+    N_ENVELOPE,
     angles_of,
     error_bound,
     failure_kernel,
@@ -92,8 +98,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Column kernels.  Each writes its column's cells as a NUL-padded uint8 block,
-# one row per cell, which `_csv_text` packs into one matrix; the NULs are then
+# one row per cell, which `_csv_block` packs into one matrix; the NULs are then
 # dropped.  Cells outside a kernel's domain get Python's own %-format.
+
+# Rows of CSV formatted at a time: one block's working set is no larger than
+# that of one scan round, and each block's fixed cost stays small.
+_BLOCK_ROWS = 2**11
 
 # The four ASCII digits of each 0 <= i < 10**4, zero-padded, as one uint32 each.
 _DIGITS4 = (
@@ -102,6 +112,7 @@ _DIGITS4 = (
     + ord("0")
 ).view(np.uint32)[:, 0]
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5**27 < 2**63
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
 _U64 = np.uint64
 _LOW32 = _U64(2**32 - 1)
 # The widest cell of each column type: '-9223372036854775808', a negative
@@ -122,12 +133,12 @@ def _int_kernel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """'%d' of the non-negative int64 values: (which values, their rows, right-aligned)."""
     done = values >= 0
     rest = values[done]
-    width = len(str(rest.max())) if rest.size else 1
+    digits = np.searchsorted(_POW10, rest, side="right") + 1
+    width = int(digits.max(initial=1))
     count = -(-width // 4)
     block = _decimal_digits(rest, count)[:, 4 * count - width :]
-    # Leading zeros become padding; a cell's last digit stays, so 0 is '0'.
-    lead = np.logical_and.accumulate(block[:, :-1] == ord("0"), axis=1)
-    block[:, :-1][lead] = 0
+    # Leading zeros become padding; a cell keeps at least one digit, so 0 is '0'.
+    block *= np.arange(width) >= width - digits[:, None]
     return done, block
 
 
@@ -226,18 +237,23 @@ def _cell_block(kind: type, values: np.ndarray) -> np.ndarray:
     return block
 
 
-def _csv_text(
+# One block of CSV rows: each column's cells, and each column's presence mask
+# or None where every cell is present (None for the whole list: no masks).
+_Block = tuple[Sequence[np.ndarray], Sequence[np.ndarray | None] | None]
+
+
+def _csv_block(
     columns: Sequence[tuple[str, type]],
     cells: Sequence[np.ndarray],
-    present: Sequence[np.ndarray | None] | None = None,
+    present: Sequence[np.ndarray | None] | None,
 ) -> str:
-    """CSV of numeric columns of int, float or bool cells; a cell not present is left empty.
+    """CSV rows of numeric columns of int, float or bool cells; a cell not present is left empty.
 
-    ``present`` holds each column's presence mask, or None where every cell is
-    present.  Columns are formatted one at a time, by ``_cell_block``, into one
-    uint8 matrix of the rows, each column's block trimmed to its widest cell
-    and followed by its separator; the padding is then dropped.  No cell
-    holds a comma, quote or newline, so none needs quoting.
+    Columns are formatted one at a time, by ``_cell_block``, into one uint8
+    matrix of the rows, each column's block trimmed to its widest cell and
+    followed by its separator; the padding is then dropped, so the text does
+    not depend on which rows share a block.  No cell holds a comma, quote or
+    newline, so none needs quoting.
     """
     n = len(cells[0])
     matrix = np.zeros((n, sum(_WIDEST[kind] + 1 for _, kind in columns)), dtype=np.uint8)
@@ -248,8 +264,23 @@ def _csv_text(
         at += block.shape[1] + 1
         matrix[:, at - 1] = ord(",")
     matrix[:, at - 1] = ord("\n")
-    header = ",".join(name for name, _ in columns) + "\n"
-    return header + matrix[:, :at].tobytes().translate(None, b"\0").decode("ascii")
+    return matrix[:, :at].tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_text(columns: Sequence[tuple[str, type]], blocks: Iterable[_Block]) -> Iterator[str]:
+    """The CSV's header, then the text of each block of rows, made as it is asked for."""
+    yield ",".join(name for name, _ in columns) + "\n"
+    for cells, present in blocks:
+        yield _csv_block(columns, cells, present)
+
+
+def _row_blocks(
+    cells: Sequence[np.ndarray], present: Sequence[np.ndarray | None]
+) -> Iterator[_Block]:
+    """Whole columns, and their presence masks, cut into blocks of ``_BLOCK_ROWS`` rows."""
+    for start in range(0, len(cells[0]), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield [column[rows] for column in cells], [m if m is None else m[rows] for m in present]
 
 
 def _with_none(column: np.ndarray, present: np.ndarray | None) -> list:
@@ -257,16 +288,18 @@ def _with_none(column: np.ndarray, present: np.ndarray | None) -> list:
     return column.tolist() if present is None else np.where(present, column, None).tolist()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the report's pieces in order, each as it is made."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-def _json_dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json_dump(obj: Any) -> list[str]:
+    """A JSON report, as its one piece of text."""
+    return [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"]
 
 
 def _parse_range(spec: str) -> range:
@@ -299,7 +332,7 @@ def _refusal(app: Applicability) -> tuple[str, str] | None:
     return None
 
 
-def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_rule(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     instance = make_instance(args.N, args.M, args.K)
     bound = error_bound(args.epsilon)
     app = check_applicability(instance)
@@ -325,9 +358,9 @@ def cmd_rule(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, _json_dump(report)
 
 
-def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_search(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     instance = make_instance(args.N, args.M, args.K)
-    _check_horizon(args.horizon)
+    _check_l_flag("--horizon", args.horizon)
     if not 0.0 < args.tol < 1.0:  # also false for NaN
         raise ValueError(f"--tol must lie in (0, 1), got {args.tol}")
     horizon = args.horizon if args.horizon is not None else default_horizon(instance)
@@ -335,16 +368,20 @@ def cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, _json_dump({"instance": asdict(instance), "search": asdict(report)})
 
 
-def cmd_orbit(args: argparse.Namespace) -> tuple[int, str]:
-    if args.l_max < 1 or args.l_max % 2 == 0:
-        raise ValueError(f"--l-max must be odd and >= 1, got {args.l_max}")
-    instance = make_instance(args.N, args.M, args.K)
-    angles = angles_of(instance)
-    ls = np.arange(1, args.l_max + 1, 2)
-    x_K, x_M = orbit_coords(ls, angles.theta_K, angles.theta_M)
-    distance = target_distance(x_K, x_M)
-    scores = np.maximum(*failure_kernel(ls, angles.theta_K, angles.theta_M))
-    return EXIT_OK, _csv_text(_ORBIT_COLUMNS, [ls, x_K, x_M, distance, scores])
+def cmd_orbit(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    _check_l_flag("--l-max", args.l_max, odd=True)
+    angles = angles_of(make_instance(args.N, args.M, args.K))
+    blocks = _orbit_blocks(angles.theta_K, angles.theta_M, args.l_max)
+    return EXIT_OK, _csv_text(_ORBIT_COLUMNS, blocks)
+
+
+def _orbit_blocks(theta_K: float, theta_M: float, l_max: int) -> Iterator[_Block]:
+    """The orbit's columns, computed per block of ``_BLOCK_ROWS`` odd l up to l_max."""
+    for start in range(1, l_max + 1, 2 * _BLOCK_ROWS):
+        ls = np.arange(start, min(start + 2 * _BLOCK_ROWS, l_max + 1), 2)
+        x_K, x_M = orbit_coords(ls, theta_K, theta_M)
+        scores = np.maximum(*failure_kernel(ls, theta_K, theta_M))
+        yield [ls, x_K, x_M, target_distance(x_K, x_M), scores], None
 
 
 def build_table_rows(
@@ -392,9 +429,50 @@ def build_table_rows(
     return columns, present
 
 
-def _grid_corners(ns: range, ms: range, ks: range) -> Iterator[tuple[int, int, int]]:
-    """The valid triples of a grid product: its corners with 0 <= m < k <= n."""
-    return ((n, m, k) for n in ns for m in ms for k in ks if 0 <= m < k <= n)
+# (N, (M, K) pair) cells of a range grid built at a time, before the mask.
+_GRID_CELLS = 2**20
+
+
+def _within(values: range, low: int, high: int) -> range:
+    """The values of an ascending range that lie in [low, high], by exact integer arithmetic."""
+    first = max(values.start, low + (values.start - low) % values.step)
+    return range(first, min(values.stop, high + 1), values.step)
+
+
+def _grid_counts(ns: range, ms: range, ks: range) -> np.ndarray:
+    """The int64 columns N, M, K of a grid product's corners with 0 <= M < K <= N, in product order.
+
+    The ranges are first cut to the values that some corner holds, by exact
+    integer arithmetic, so a range end of any size or sign is safe and each N
+    left holds a corner.  The first N past the float64 envelope is the input
+    error, worded by ``make_instance``.  Only values in [0, 2**48] reach
+    numpy: ``np.meshgrid`` and one mask give the (M, K) pairs with M < K,
+    and the N values are taken a batch at a time, each N keeping the pairs
+    with K <= N, so no batch holds more than ``_GRID_CELLS`` (N, pair) cells
+    or one N's pairs.
+    """
+    ms = _within(ms, 0, ms.stop)
+    ks = _within(ks, ms[0] + 1, ks.stop) if ms else range(0)
+    ns = _within(ns, ks[0], ns.stop) if ks else range(0)
+    past = _within(ns, N_ENVELOPE + 1, ns.stop)
+    if past:
+        make_instance(past[0], ms[0], ks[0])  # raises
+    m_range, k_range = (_within(r, 0, ns[-1] if ns else 0) for r in (ms, ks))
+    M, K = np.meshgrid(
+        np.fromiter(m_range, np.int64, count=len(m_range)),
+        np.fromiter(k_range, np.int64, count=len(k_range)),
+        indexing="ij",
+    )
+    lower = M < K
+    pairs = np.stack([M[lower], K[lower]])
+    n_values = np.fromiter(ns, np.int64, count=len(ns))
+    batch = max(1, _GRID_CELLS // max(1, pairs.shape[1]))
+    corners = [np.empty((3, 0), dtype=np.int64)]
+    for start in range(0, n_values.size, batch):
+        N = n_values[start : start + batch, None]
+        keep = pairs[1] <= N
+        corners.append(np.stack([np.broadcast_to(c, keep.shape)[keep] for c in (N, *pairs)]))
+    return np.concatenate(corners, axis=1)
 
 
 def _load_triples(path: str) -> np.ndarray:
@@ -476,11 +554,15 @@ def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _check_horizon(horizon: int | None) -> None:
-    # No scan gets past 2**53, where odd l stop being exact doubles, so a
-    # report would claim a horizon it did not scan.
-    if horizon is not None and not 1 <= horizon <= 2**53:
-        raise ValueError(f"--horizon must lie in [1, 2**53], got {horizon}")
+def _check_l_flag(flag: str, value: int | None, odd: bool = False) -> None:
+    """A flag that bounds l (--horizon, --l-max) must lie in [1, 2**53], and be odd if asked.
+
+    Past 2**53 odd l stop being exact doubles: a scan would claim a horizon
+    it did not scan, and an orbit would print rows it did not compute.
+    """
+    if value is not None and not (1 <= value <= 2**53 and (value % 2 or not odd)):
+        rule = "be odd and lie" if odd else "lie"
+        raise ValueError(f"{flag} must {rule} in [1, 2**53], got {value}")
 
 
 def _table_counts(args: argparse.Namespace) -> np.ndarray:
@@ -494,7 +576,7 @@ def _table_counts(args: argparse.Namespace) -> np.ndarray:
         counts = _load_triples(args.triples)
     elif args.N_range and args.M_range and args.K_range:
         ranges = [_parse_range(spec) for spec in (args.N_range, args.M_range, args.K_range)]
-        counts = _triple_columns(_grid_corners(*ranges))
+        counts = _grid_counts(*ranges)
     else:
         raise ValueError("provide --triples or all of --N-range/--M-range/--K-range")
     if args.reduced:
@@ -503,18 +585,18 @@ def _table_counts(args: argparse.Namespace) -> np.ndarray:
     return counts
 
 
-def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     # Bad flags fail even when every triple of the grid is skipped.
     error_bound(args.epsilon)
-    _check_horizon(args.horizon)
+    _check_l_flag("--horizon", args.horizon)
     columns, present = build_table_rows(_table_counts(args), args.epsilon, args.horizon)
     if args.format == "json":
         rows = zip(*map(_with_none, columns, present))
         return EXIT_OK, _json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows])
-    return EXIT_OK, _csv_text(_TABLE_COLUMNS, columns, present)
+    return EXIT_OK, _csv_text(_TABLE_COLUMNS, _row_blocks(columns, present))
 
 
-def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_experiment(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     instance = make_instance(args.N, args.M, args.K)
     outcomes = {}
     for truth in ("M", "K"):
@@ -537,20 +619,20 @@ def cmd_experiment(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-def cmd_pad(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_pad(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     padded = pad_for_ratio(args.M, args.N, args.a, args.epsilon)
     return EXIT_OK, _json_dump(asdict(padded))
 
 
-def cmd_diagnose(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_diagnose(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     make_instance(args.N, 0, 1)  # rejects a bad N even when no (M, K) pair fits under it
     bound = error_bound(args.epsilon)
-    _check_horizon(args.horizon)
+    _check_l_flag("--horizon", args.horizon)
     if math.isnan(args.threshold):
         # NaN compares false with every ratio and would silently drop each found row.
         raise ValueError("--threshold must not be NaN")
     ranges = range(args.N, args.N + 1), _parse_range(args.M_range), _parse_range(args.K_range)
-    N, M, K = _triple_columns(_grid_corners(*ranges))
+    N, M, K = _grid_counts(*ranges)
     n = N.size
     angles = rotation_angles(N, M, K)
     l_bound = l_bound_of(N, M, K)
@@ -643,8 +725,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, text = args.func(args)
-        _emit(text, args.out)
+        code, pieces = args.func(args)
+        _emit(pieces, args.out)
     except (ValueError, TypeError, OSError) as exc:
         print(f"groverstop: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

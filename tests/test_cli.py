@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -27,7 +28,8 @@ from groverstop import (
     transforms,
 )
 from groverstop.cli import (
-    TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _triple_columns, _with_none, build_table_rows, main,
+    TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _row_blocks, _triple_columns, _with_none,
+    build_table_rows, main,
 )
 from oracles import reduce_common_divisor
 
@@ -173,6 +175,40 @@ class TestOrbitCommand:
         code, _ = run_cli(capsys, "orbit", "--N", "4", "--M", "0", "--K", "1", "--l-max", "4")
         assert code == 1
 
+    # 2**53 + 1 is odd but past the exact doubles; the largest odd l_max that
+    # passes is 2**53 - 1, which would stream its rows, so it is not run here.
+    @pytest.mark.parametrize("l_max", [2**53 + 1, 2**53, 0, -1, 2**70 + 1])
+    def test_l_max_outside_exact_doubles_rejected(self, capsys, tmp_path, l_max):
+        out_file = tmp_path / "orbit.csv"
+        argv = ["orbit", "--N", "4", "--M", "0", "--K", "1", f"--l-max={l_max}"]
+        for out in ([], ["--out", str(out_file)]):
+            code = main([*argv, *out])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == (
+                f"groverstop: error: --l-max must be odd and lie in [1, 2**53], got {l_max}\n"
+            )
+        assert not out_file.exists()
+
+    def test_memory_is_flat_in_l_max(self, tmp_path):
+        """Rows are computed and written per block: 4x the rows, the same traced peak."""
+        out_file = tmp_path / "orbit.csv"
+
+        def peak(l_max):
+            argv = ["orbit", "--N", "1048576", "--M", "37", "--K", "41", "--l-max", str(l_max)]
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(out_file)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 4 * cli._BLOCK_ROWS
+        peak(1)  # builds the layout table before anything is traced
+        small, large = peak(2 * rows - 1), peak(8 * rows - 1)
+        assert out_file.read_text().count("\n") == 1 + 4 * rows
+        assert large <= small + 64 * 1024, (small, large)
+
 
 class TestTableCommand:
     def test_single_triple(self, capsys, tmp_path):
@@ -281,7 +317,7 @@ class TestTableCommand:
         for (_, kind), column in zip(columns, zip(*rows)):
             cells.append(np.array([kind() if v is None else v for v in column], dtype=kind))
             present.append(np.array([v is not None for v in column]))
-        assert _csv_text(columns, cells, present) == reference.getvalue()
+        assert "".join(_csv_text(columns, _row_blocks(cells, present))) == reference.getvalue()
 
     def test_scan_miss_keeps_certified_rule(self, monkeypatch):
         # The scan cannot miss below a certified l, so force the miss.
@@ -417,6 +453,102 @@ class TestTriplesReader:
                 seen.add(family)
                 expected.append((N, M, K))
         assert list(zip(*cli._table_counts(args).tolist())) == expected
+
+    @pytest.mark.parametrize(
+        "bad, error", [("4096 12 8", "need M < K, got M=12, K=8"),
+                       ("4096 8 x", "invalid literal for int() with base 10: 'x'")],
+        ids=["invalid", "malformed"],
+    )
+    def test_bad_row_after_full_blocks_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, bad, error
+    ):
+        """Every row is judged before the first block: no byte reaches stdout or --out."""
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
+        path = tmp_path / "rows.txt"
+        path.write_text("4096 8 12\n1024 4 6\n65536 12 13\n" + bad + "\n")
+        out_file = tmp_path / "table.csv"
+        for out in ([], ["--out", str(out_file)]):
+            code = main(["table", "--triples", str(path), *out])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", f"groverstop: error: {error}\n")
+        assert not out_file.exists()
+
+
+def _reference_corners(ns, ms, ks):
+    """The corners of a grid product with 0 <= m < k <= n, in product order, one at a time."""
+    return _triple_columns((n, m, k) for n in ns for m in ms for k in ks if 0 <= m < k <= n)
+
+
+_SMALL_RANGE = st.builds(
+    range, st.integers(-6, 40), st.integers(-6, 60), st.integers(1, 7)
+)
+
+
+class TestGridCorners:
+    """A range grid's corners are built as arrays, and equal the row-by-row product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SMALL_RANGE, _SMALL_RANGE, _SMALL_RANGE)
+    def test_matches_row_by_row_product(self, ns, ms, ks):
+        counts = cli._grid_counts(ns, ms, ks)
+        expected = _reference_corners(ns, ms, ks)
+        assert counts.dtype == np.int64 and counts.shape == expected.shape
+        assert (counts == expected).all()
+
+    @pytest.mark.parametrize("cells", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "ranges",
+        [(range(2, 3000), range(1, 2), range(2, 3)),
+         (range(3, 60, 7), range(0, 9, 2), range(1, 12, 3)),
+         (range(40, 41), range(0, 30), range(1, 41))],
+        ids=["tall", "mixed", "wide"],
+    )
+    def test_batches_of_n_values(self, monkeypatch, cells, ranges):
+        """Batches of N values, capped at a few cells or at one N's pairs, keep product order."""
+        monkeypatch.setattr(cli, "_GRID_CELLS", cells)
+        assert cli._grid_counts(*ranges).tolist() == _reference_corners(*ranges).tolist()
+
+    # Ends past int64, of either sign, at the envelope or past it, each with
+    # the small ranges that hold the same corners.
+    @pytest.mark.parametrize(
+        "ranges, small",
+        [
+            ((range(4, 5), range(-(2**70), 2), range(1, 2**70)),
+             (range(4, 5), range(0, 2), range(1, 5))),
+            # -2**70 is 2 mod 3, and 2 is the only K under N = 2.
+            ((range(-(2**70), 4, 3), range(-(2**63) - 1, 3), range(2, 2**64, 2**62)),
+             (range(2, 3), range(0, 3), range(2, 3))),
+            ((range(2**48 - 1, 2**48 + 1), range(2**48 - 3, 2**48), range(2**48 - 1, 2**70)),
+             (range(2**48 - 1, 2**48 + 1), range(2**48 - 3, 2**48), range(2**48 - 1, 2**48 + 1))),
+            # No K above any M: no corner, however many N.
+            ((range(1, 2**70), range(5, 2**70), range(-(2**70), 6)),
+             (range(1, 2), range(0), range(0))),
+        ],
+    )
+    def test_range_ends_of_any_size(self, ranges, small):
+        counts = cli._grid_counts(*ranges)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == _reference_corners(*small).tolist()
+
+    def test_first_corner_past_the_envelope_is_the_error(self):
+        ns = range(2**48 - 1, 2**48 + 4)
+        with pytest.raises(ValueError, match=f"^N={2**48 + 1} exceeds the float64 envelope"):
+            cli._grid_counts(ns, range(0, 1), range(1, 2))
+        with pytest.raises(ValueError, match=f"^N={2**48 + 3} exceeds the float64 envelope"):
+            cli._grid_counts(ns, range(2**48 + 2, 2**48 + 3), range(2**48 + 3, 2**70))
+
+    @pytest.mark.parametrize(
+        "ranges", [["--M-range=-1180591620717411303424:1", "--K-range", "1:18446744073709551617"],
+                   ["--M-range", "1180591620717411303424", "--K-range", "1:2"]],
+        ids=["beyond-int64", "no-corner"],
+    )
+    def test_cli_takes_range_ends_past_int64(self, capsys, ranges):
+        code, out = run_cli(capsys, "table", "--N-range", "4", *ranges)
+        assert code == 0 and out.startswith("N,M,K,")
+        assert [line[:6] for line in out.splitlines()[1:]] == (
+            ["4,0,1,", "4,0,2,", "4,0,3,", "4,0,4,", "4,1,2,", "4,1,3,", "4,1,4,"]
+            if ranges[0].startswith("--M-range=") else []
+        )
 
 
 def _cell_texts(kind, values):

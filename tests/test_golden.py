@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from groverstop import cli
 from groverstop.cli import main
 
 GOLDEN = [
@@ -292,6 +293,13 @@ GOLDEN = [
         0,
         "6b21a09d4baa939be204afdef6b1faf98941080620fe0cdee4fffb0177ff0508",
     ),
+    # Recorded while the whole CSV was formatted as one matrix, before it was
+    # written in blocks of rows: 12400 rows, M = 0 rows among them.
+    (
+        "table --N-range 4096:65536:4096 --M-range 0:30 --K-range 1:40 --horizon 1001",
+        0,
+        "6e1c7a0f95f6b11712a8c45856276488e18ee58ce37dc92db3b9385221174674",
+    ),
 ]
 
 
@@ -338,13 +346,13 @@ ENVELOPE_EDGE_TRIPLES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "fmt, digest",
-    [
-        ("csv", "f834c90fdcff35e6fa8c07adb39cff48ab79f9bd68411c2ab8cd28159de46d01"),
-        ("json", "acd81bec17503e76e2f947ac4ef22618a7e6607eeb525a97575fb2478105fc66"),
-    ],
-)
+ENVELOPE_EDGE_PINS = [
+    ("csv", "f834c90fdcff35e6fa8c07adb39cff48ab79f9bd68411c2ab8cd28159de46d01"),
+    ("json", "acd81bec17503e76e2f947ac4ef22618a7e6607eeb525a97575fb2478105fc66"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", ENVELOPE_EDGE_PINS)
 def test_golden_envelope_edge_table(capsys, tmp_path, fmt, digest):
     triples = tmp_path / "edge.triples"
     triples.write_text("".join(f"{N} {M} {K}\n" for N, M, K in ENVELOPE_EDGE_TRIPLES))
@@ -413,21 +421,136 @@ def test_golden_triples_file(capsys, tmp_path, text, flags, code, digest, error)
     assert captured.err == ("" if error is None else f"groverstop: error: {error}\n")
 
 
-@pytest.mark.parametrize(
-    "ranges, code, digest, error",
-    [
-        ("--N-range 1180591620717411303424 --M-range 1 --K-range 2", 1, EMPTY,
-         "N=1180591620717411303424 exceeds the float64 envelope 2**48"),
-        # No corner of this grid is valid: the header alone.
-        ("--N-range 4 --M-range 5 --K-range 6", 0,
-         "9ded1d838d567488c4a3c14e668fd5d89143929933a81996f87c23c6cc58d8a0", None),
-    ],
+def _block_triples(count: int) -> str:
+    """A --triples file of `count` rows from a fixed 64-bit LCG, N in [2^16, 2^24).
+
+    Every fourth row has K/M near 1 and a small K, so some rules certify;
+    every seventh other row has M = 0, so gamma is missing there.
+    """
+    rows, x = [], 2026
+    for i in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        N = 2**16 + (x >> 20) % (2**24 - 2**16)
+        u = x >> 44
+        if i % 4 == 0:
+            K = 2 + u % max(1, N // 2**19 + 3)
+            M = max(1, K - 1 - (u >> 10) % 2) if K > 2 else 1
+        else:
+            M = (u % 200) if i % 7 else 0
+            K = M + 1 + (u >> 8) % (4 * max(M, 1))
+        rows.append(f"{N} {M} {K}\n")
+    return "".join(rows)
+
+
+# 7000 rows: 776 with M = 0, 431 certified and 1546 not found by --horizon
+# 3001.  Recorded while the whole CSV was formatted as one matrix, before it
+# was written in blocks of rows.
+BLOCK_TRIPLES_PIN = (
+    ["--horizon", "3001"], "9e3d21571b9f21d9a346291fd2c2b932075e39a2f5432df75699f05f3463e4cb"
 )
+
+
+def test_golden_multi_block_triples_file(capsys, tmp_path):
+    flags, digest = BLOCK_TRIPLES_PIN
+    triples = tmp_path / "blocks.triples"
+    triples.write_text(_block_triples(7000))
+    assert main(["table", "--triples", str(triples), *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 7001
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+TABLE_RANGE_PINS = [
+    ("--N-range 1180591620717411303424 --M-range 1 --K-range 2", 1, EMPTY,
+     "N=1180591620717411303424 exceeds the float64 envelope 2**48"),
+    # No corner of this grid is valid: the header alone.
+    ("--N-range 4 --M-range 5 --K-range 6", 0,
+     "9ded1d838d567488c4a3c14e668fd5d89143929933a81996f87c23c6cc58d8a0", None),
+]
+
+
+@pytest.mark.parametrize("ranges, code, digest, error", TABLE_RANGE_PINS)
 def test_golden_table_ranges(capsys, ranges, code, digest, error):
     assert main(["table", *ranges.split()]) == code
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
     assert captured.err == ("" if error is None else f"groverstop: error: {error}\n")
+
+
+def _csv_pins(tmp_path: Path) -> list[tuple[list[str], str]]:
+    """(argv, stdout sha256) of every pinned `orbit` and CSV `table` command.
+
+    The --triples pins are written to files under tmp_path; their error pins
+    are kept, as bad input must write nothing at any block size.
+    """
+    pins = [
+        (command.split(), digest) for command, _, digest in GOLDEN
+        if command.split()[0] in ("orbit", "table") and "json" not in command
+    ]
+    pins += [(["table", *ranges.split()], digest) for ranges, _, digest, _ in TABLE_RANGE_PINS]
+    files = [(text, flags, digest) for text, flags, _, digest, _ in TRIPLES_PINS]
+    files.append((_block_triples(7000), *BLOCK_TRIPLES_PIN))
+    edge = "".join(f"{N} {M} {K}\n" for N, M, K in ENVELOPE_EDGE_TRIPLES)
+    files.append((edge, [], dict(ENVELOPE_EDGE_PINS)["csv"]))
+    for i, (text, flags, digest) in enumerate(files):
+        if "json" not in flags:
+            path = tmp_path / f"pin{i}.triples"
+            path.write_bytes(text.encode("utf-8"))
+            pins.append((["table", "--triples", str(path), *flags], digest))
+    return pins
+
+
+def test_csv_pins_hold_at_any_block_size(capsys, tmp_path, monkeypatch):
+    """Every pinned CSV has the same bytes however many rows a block holds.
+
+    Sizes of one to a few rows cross a block boundary after every row or
+    few, and leave a partial last block; each pin runs at each size that
+    gives it at most 2048 blocks, which keeps this test fast.
+    """
+    checked = 0
+    for argv, digest in _csv_pins(tmp_path):
+        rows = None
+        for block_rows in (cli._BLOCK_ROWS, 1021, 3, 1):
+            if rows is not None and rows > 2048 * block_rows:
+                continue
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+            main(argv)
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (argv, block_rows)
+            rows = out.count("\n")
+            checked += block_rows == 1
+        monkeypatch.undo()
+    assert checked > 20
+
+
+def test_masked_column_empty_within_a_block(capsys, tmp_path, monkeypatch):
+    """Three-row blocks of a table where some blocks hold no l_constructive cell and others do."""
+    triples = tmp_path / "blocks.triples"
+    triples.write_text(_block_triples(600))
+    assert main(["table", "--triples", str(triples)]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    assert main(["table", "--triples", str(triples)]) == 0
+    assert capsys.readouterr().out == whole
+    rows = [line.split(",") for line in whole.splitlines()[1:]]
+    present = [sum(row[9] != "" for row in rows[i : i + 3]) for i in range(0, len(rows), 3)]
+    assert 0 in present and max(present) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orbit", "--N", "4096", "--M", "8", "--K", "12", "--l-max", "1"],
+     ["table", "--N-range", "4096", "--M-range", "8", "--K-range", "12"]],
+    ids=["orbit", "table"],
+)
+def test_one_row_output(capsys, monkeypatch, argv):
+    """One data row, alone in its block at every block size."""
+    outputs = []
+    for block_rows in (1, 3, cli._BLOCK_ROWS):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 2 and outputs == outputs[:1] * 3
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
