@@ -6,7 +6,8 @@ the file named by --out, which every command takes.  A command validates all
 of its input before it returns, so bad input writes nothing.  The output is
 a pure function of the flags (plus the seed where one applies); no
 environment variables are consulted.  Exit codes are a stable contract: 0
-success, 1 input error, 2 not applicable, 64 usage.
+success, 1 input error (a refused allocation too), 2 not applicable, 64
+usage, 141 where stdout's reader left early (stderr then stays empty).
 
 CSV output is UTF-8 with LF line endings; reals are written with 17
 significant digits so parsing the file back reproduces the exact doubles.
@@ -15,7 +16,10 @@ in blocks of rows, a column at a time, by array kernels, which leave only the
 cells outside their range to Python.  Each block is written as it is made,
 so memory stays bounded per block: `orbit` also computes its rows per block,
 while `table` keeps its columns whole, as its scan runs all rows together.
-JSON uses the same field names, with null where CSV leaves a cell empty.
+JSON uses the same field names, with null where CSV leaves a cell empty;
+both JSON row lists (`table --format json`, `diagnose`) come from one writer.
+The flags several commands share (--out, --N/--M/--K, --epsilon, --horizon)
+are each declared once, on a parent parser.
 `table --triples` parses a plain file of integers with one np.loadtxt call,
 and any other file row by row; a range grid is built as arrays.
 """
@@ -27,6 +31,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -54,7 +59,7 @@ from .diophantine import (
     scan_rows,
     target_distance,
 )
-from .statevector import RNG_ALGORITHM, run_discrimination
+from .statevector import RNG_ALGORITHM, _mul_64x64, run_discrimination
 from .stopping_rule import (
     Applicability,
     certified_rules,
@@ -70,6 +75,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_USAGE = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
 # (name, type) of each `table` column, in CSV order; a cell is None or of its
@@ -114,7 +120,6 @@ _DIGITS4 = (
 _POW5 = np.array([5**s for s in range(28)], dtype=np.uint64)  # 5**27 < 2**63
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
 _U64 = np.uint64
-_LOW32 = _U64(2**32 - 1)
 # The widest cell of each column type: '-9223372036854775808', a negative
 # subnormal in '%.17g', 'false'.
 _WIDEST = {int: 20, float: 24, bool: 5}
@@ -140,15 +145,6 @@ def _int_kernel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Leading zeros become padding; a cell keeps at least one digit, so 0 is '0'.
     block *= np.arange(width) >= width - digits[:, None]
     return done, block
-
-
-def _mul_64x64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low uint64 words of each exact 128-bit product a*b, from 32-bit limbs."""
-    a_hi, a_lo, b_hi, b_lo = a >> _U64(32), a & _LOW32, b >> _U64(32), b & _LOW32
-    low, cross_1, cross_2 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    middle = (low >> _U64(32)) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
-    high = a_hi * b_hi + (cross_1 >> _U64(32)) + (cross_2 >> _U64(32)) + (middle >> _U64(32))
-    return high, (low & _LOW32) | (middle << _U64(32))
 
 
 # A '%.17g' cell's characters are taken from a source row: its 17 digits, then these.
@@ -188,7 +184,8 @@ def _float_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = mant * 2**e with a 53-bit mant, so with E = floor(log10(x)) its 17
     significant digits are D = mant * 5**s >> shift, for s = 16 - E and
     shift = -(e + s), rounded half to even as Python rounds.  For
-    0 <= s <= 27 and 1 <= shift <= 63 the product fits in 128 bits.  A cell
+    0 <= s <= 27 and 1 <= shift <= 63 the product fits in 128 bits, which
+    ``_mul_64x64`` (the PCG64 replay's) gives exactly.  A cell
     whose estimated E proves wrong (D outside [10**16, 10**17)) is left to
     Python, as are zero, negatives, non-finite values and the rest of the range.
     """
@@ -295,11 +292,17 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a reader that left is seen here, not at the interpreter's exit
 
 
 def _json_dump(obj: Any) -> list[str]:
     """A JSON report, as its one piece of text."""
     return [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+
+
+def _json_rows(fields: Sequence[str], columns: list[np.ndarray], present: list) -> list[str]:
+    """A JSON list of one object per row, keyed by the fields; a cell not present is null."""
+    return _json_dump([dict(zip(fields, row)) for row in zip(*map(_with_none, columns, present))])
 
 
 def _parse_range(spec: str) -> range:
@@ -403,8 +406,7 @@ def build_table_rows(
     n, bound = N.size, error_bound(epsilon)
     angles = rotation_angles(N, M, K)
     l_bound = l_bound_of(N, M, K)
-    # The ordering flag is ProblemInstance.strict_regime, M < K < N/2.
-    applicable = (2 * K < N) & np.logical_and(*applicability_flags(N, K, angles.gamma))
+    applicable = np.logical_and.reduce(list(applicability_flags(N, K, angles.gamma).values()))
     ruled = M > 0
     at, p, s, l, fails = certified_rules(np.flatnonzero(ruled), angles, l_bound, epsilon)
     horizons = horizon_for_bound(l_bound) if horizon is None else np.full(n, horizon)
@@ -591,8 +593,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_l_flag("--horizon", args.horizon)
     columns, present = build_table_rows(_table_counts(args), args.epsilon, args.horizon)
     if args.format == "json":
-        rows = zip(*map(_with_none, columns, present))
-        return EXIT_OK, _json_dump([dict(zip(TABLE_FIELDS, row)) for row in rows])
+        return EXIT_OK, _json_rows(TABLE_FIELDS, columns, present)
     return EXIT_OK, _csv_text(_TABLE_COLUMNS, _row_blocks(columns, present))
 
 
@@ -643,75 +644,64 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     ratio = np.where(exhausted, horizons, found) / l_bound
     order = np.lexsort((K, M, -ratio))
     rows = order[(exhausted | (ratio > args.threshold))[order]]
-    l_minimal = np.where(exhausted, None, found)
-    columns = [N, M, K, l_minimal, l_bound, ratio, exhausted, horizons]
-    entries = zip(*[column[rows].tolist() for column in columns])
-    return EXIT_OK, _json_dump([dict(zip(_DIAGNOSE_FIELDS, row)) for row in entries])
-
-
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--N", type=int, required=True)
-    parser.add_argument("--M", type=int, required=True)
-    parser.add_argument("--K", type=int, required=True)
+    columns = [c[rows] for c in (N, M, K, found, l_bound, ratio, exhausted, horizons)]
+    present = [None] * 3 + [~exhausted[rows]] + [None] * 4
+    return EXIT_OK, _json_rows(_DIAGNOSE_FIELDS, columns, present)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="groverstop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the report to this file, not stdout")
+    # The flags that several commands share, each declared once, on a parent parser.
+    out, triple, eps, horizon = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", help="write the report to this file, not stdout")
+    for count in ("--N", "--M", "--K"):
+        triple.add_argument(count, type=int, required=True)
+    eps.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    horizon.add_argument("--horizon", type=int)
 
-    def command(name: str, func: Callable, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def command(name: str, func: Callable, summary: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[out, *parents], help=summary)
         p.set_defaults(func=func)
         return p
 
-    p_rule = command("rule", cmd_rule, "constructive stopping rule with certificate")
-    _add_instance_flags(p_rule)
-    p_rule.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p_rule = command("rule", cmd_rule, "constructive stopping rule with certificate", triple, eps)
     p_rule.add_argument("--best-effort", action="store_true")
 
-    p_search = command("search", cmd_search, "exhaustive minimal odd-l search")
-    _add_instance_flags(p_search)
+    p_search = command("search", cmd_search, "exhaustive minimal odd-l search", triple, horizon)
     p_search.add_argument("--tol", type=float, default=0.25)
-    p_search.add_argument("--horizon", type=int)
     p_search.add_argument("--mode", choices=["relaxed", "strict"], default="relaxed")
 
-    p_orbit = command("orbit", cmd_orbit, "torus orbit trace as CSV")
-    _add_instance_flags(p_orbit)
+    p_orbit = command("orbit", cmd_orbit, "torus orbit trace as CSV", triple)
     p_orbit.add_argument("--l-max", type=int, required=True, dest="l_max")
 
-    p_table = command("table", cmd_table, "stopping-rule table over a grid")
+    p_table = command("table", cmd_table, "stopping-rule table over a grid", eps, horizon)
     p_table.add_argument("--triples", help="file of 'N M K' lines")
     p_table.add_argument("--N-range", dest="N_range", help="START:STOP[:STEP], inclusive")
     p_table.add_argument("--M-range", dest="M_range")
     p_table.add_argument("--K-range", dest="K_range")
-    p_table.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p_table.add_argument("--horizon", type=int)
     p_table.add_argument("--reduced", action="store_true", help="skip proportional triples")
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_exp = command("experiment", cmd_experiment, "Monte Carlo discrimination experiment")
-    _add_instance_flags(p_exp)
+    p_exp = command(
+        "experiment", cmd_experiment, "Monte Carlo discrimination experiment", triple, eps
+    )
     p_exp.add_argument("--l", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
     p_exp.add_argument("--seed", type=int, required=True)
-    p_exp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
-    p_pad = command("pad", cmd_pad, "pad the database to shrink the size ratio")
+    # pad and diagnose take their own --N and --M: pad's K is a*M, diagnose's M a range.
+    p_pad = command("pad", cmd_pad, "pad the database to shrink the size ratio", eps)
     p_pad.add_argument("--M", type=int, required=True)
     p_pad.add_argument("--N", type=int, required=True)
     p_pad.add_argument("--a", type=float, default=2.0, help="ratio K = a*M")
-    p_pad.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
 
-    p_diag = command("diagnose", cmd_diagnose, "find slow (small-divisor) instances")
+    p_diag = command("diagnose", cmd_diagnose, "find slow (small-divisor) instances", eps, horizon)
     p_diag.add_argument("--N", type=int, required=True)
     p_diag.add_argument("--M-range", dest="M_range", required=True)
     p_diag.add_argument("--K-range", dest="K_range", required=True)
     p_diag.add_argument("--threshold", type=float, required=True,
                         help="report rows with l_minimal/l_bound above this")
-    p_diag.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p_diag.add_argument("--horizon", type=int)
 
     return parser
 
@@ -727,7 +717,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, pieces = args.func(args)
         _emit(pieces, args.out)
-    except (ValueError, TypeError, OSError) as exc:
+    except BrokenPipeError:
+        # The reader left: what is left to write, the interpreter's last flush too, goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"groverstop: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

@@ -198,12 +198,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit products a*b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> np.uint64(32), b & _LOW32, b >> np.uint64(32)
-    lo_lo, lo_hi, hi_lo = a0 * b0, a0 * b1, a1 * b0
-    carry = ((lo_lo >> np.uint64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> np.uint64(32)
-    return a1 * b1 + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + carry
+def _mul_64x64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low uint64 words of each exact 128-bit product a*b (PCG64 and '%.17g')."""
+    half = np.uint64(32)
+    a_hi, a_lo, b_hi, b_lo = a >> half, a & _LOW32, b >> half, b & _LOW32
+    low, cross_1, cross_2 = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    middle = (low >> half) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
+    high = a_hi * b_hi + (cross_1 >> half) + (cross_2 >> half) + (middle >> half)
+    return high, (low & _LOW32) | (middle << half)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +215,8 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
 
 def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
     """One PCG64 state step, state * multiplier + inc modulo 2**128."""
-    prod_hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+    prod_hi, prod_lo = _mul_64x64(lo, _PCG_MULT_LO)
+    return _add128(prod_hi + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, prod_lo, inc_hi, inc_lo)
 
 
 def _uniforms(seed_words: list[int], trials: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ theorem says that
     |l*theta_M/(4*pi) - p|       <    gamma - 1
     l <= 4*sqrt(N)/(sqrt(K) - sqrt(M))
 
-Those premises (``check_applicability``) do not stop the rule from being
-built.  This module builds it for every M > 0 and certifies the
+Those premises are written once, elementwise, as
+``transforms.applicability_flags``, which ``check_applicability`` reports
+and ``table``'s ``applicable`` column reads; they do not stop the rule from
+being built.  This module builds it for every M > 0 and certifies the
 inequalities numerically, for one instance (``construct_rule``,
 ``certify``) or a column of them (``certified_rules``) with the same
 elementwise formulas: ``transforms.l_bound_of`` for the bound on l (the
@@ -111,14 +113,9 @@ def check_applicability(instance: ProblemInstance) -> Applicability:
     """Evaluate every precondition flag of the constructive rule; never raises."""
     N, M, K = instance.N, instance.M, instance.K
     gamma = angles_of(instance).gamma
-    # M = 0 has no gamma; a NaN in its place fails both flags.
-    size_condition_ok, gamma_small_ok = applicability_flags(
-        N, K, math.nan if gamma is None else gamma
-    )
+    # M = 0 has no gamma; a NaN in its place fails the two flags that need it.
     return Applicability(
-        ordering_ok=instance.strict_regime,
-        size_condition_ok=size_condition_ok,
-        gamma_small_ok=gamma_small_ok,
+        **applicability_flags(N, K, math.nan if gamma is None else gamma),
         epsilon_bound=None if M == 0 else 2.0 * (math.sqrt(2.0) * (math.sqrt(K / M) - 1.0)),
     )
 

@@ -5,7 +5,8 @@
   the applicable range.  The padding here is virtual: no array is materialized,
   only the transformed triple is returned.
 * The closed-form bound on l (``l_bound_of``; the bound on m is half of it)
-  and the applicability flags, elementwise on arrays as well as for one triple.
+  and the theorem's three premises (``applicability_flags``), elementwise on
+  arrays as well as for one triple.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def pad_for_ratio(
     assert angles.gamma is not None
     excess = angles.gamma - 1.0
     gamma_prime_lower = math.sqrt((r + a) / (r + 1.0)) - 1.0
-    size_condition_ok, _ = applicability_flags(N_prime, K_prime, angles.gamma)
+    flags = applicability_flags(N_prime, K_prime, angles.gamma)
     return PaddedInstance(
         r=r,
         M_prime=M_prime,
@@ -127,22 +128,24 @@ def pad_for_ratio(
         gamma_prime=angles.gamma,
         gamma_prime_lower=gamma_prime_lower,
         gamma_gap_ok=excess >= gamma_prime_lower,
-        size_condition_ok=size_condition_ok,
+        size_condition_ok=flags["size_condition_ok"],
         m_bound_padded=l_bound_of(N_prime, M_prime, K_prime) / 2.0,
     )
 
 
-def applicability_flags(N, K, gamma):
-    """(size_condition_ok, gamma_small_ok) for gamma > 0; elementwise on arrays.
+def applicability_flags(N, K, gamma) -> dict:
+    """The theorem's three premises, by ``Applicability`` field; elementwise on arrays.
 
-    The size condition is sqrt(K) < 16*(gamma-1)^2*sqrt(N).  Its square is a
+    The ordering M < K < N/2 is 2*K < N, since a valid triple has M < K.  The
+    size condition is sqrt(K) < 16*(gamma-1)^2*sqrt(N).  Its square is a
     multiplication: ``x**2`` calls libm ``pow``, which is not correctly
     rounded, and numpy arrays square by multiplication.  A NaN gamma (M = 0)
-    fails both flags.
+    fails the two flags that need it.
     """
     sqrt = np.sqrt if isinstance(N, np.ndarray) else math.sqrt
     excess = gamma - 1.0
-    return sqrt(K) < 16.0 * (excess * excess) * sqrt(N), excess <= 0.25
+    size_ok = sqrt(K) < 16.0 * (excess * excess) * sqrt(N)
+    return dict(ordering_ok=2 * K < N, size_condition_ok=size_ok, gamma_small_ok=excess <= 0.25)
 
 
 def l_bound_of(N, M, K):

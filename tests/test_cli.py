@@ -3,9 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1026,6 +1029,40 @@ class TestBadInputIsExitOne:
         code, out = run_cli(capsys, *command.split(), "--out", str(out_file))
         assert (code, out) == (1, "")
         assert not out_file.parent.exists()
+
+
+    def test_allocation_failure(self, capsys, monkeypatch):
+        # A grid too large for the host is one error line, not a traceback.
+        # Never allocated for real: a host that overcommits could start filling it.
+        message = "Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"
+
+        def too_large(*ranges):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "_grid_counts", too_large)
+        code = main(["table", "--N-range", "1:1099511627776", "--M-range", "0", "--K-range", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"groverstop: error: {message}\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that leaves ends the command with 128 + SIGPIPE and nothing on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = "orbit --N 4096 --M 8 --K 12 --l-max 1000000000001"  # far more rows than read
+    run = subprocess.Popen(
+        [sys.executable, "-m", "groverstop.cli", *command.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert run.stdout.readline() == b"l,x_K,x_M,strict_distance,relaxed_score\n"
+        run.stdout.close()
+        code = run.wait(timeout=60)
+        assert (code, run.stderr.read()) == (141, b"")
+    finally:
+        run.kill()
+        run.stderr.close()
 
 
 def _run_captured(argv):

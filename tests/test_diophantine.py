@@ -811,3 +811,44 @@ class TestSmallDivisorBound:
         gamma = np.array([a / b + offset])
         denominators = diophantine._odd_denominators(gamma, np.array([30.0]))
         assert b in denominators and (denominators % 2 == 1).all() and (denominators <= 30).all()
+
+
+class TestAccelerationsPay:
+    """Each scan acceleration for the paper's slow cases cuts the scan's work, by count.
+
+    No benchmark workload has a row whose coordinates both turn fast, nor a
+    small epsilon, so these counts are what guards the residue split and the
+    odd-denominator bound.
+    """
+
+    SPLIT = make_instance(64, 13, 29)  # both coordinates turn fast
+
+    @pytest.mark.parametrize(
+        "mode, threshold, l", [("strict", 1e-4, 7664117), ("relaxed", 1e-6, 6650513)]
+    )
+    def test_residue_split_halves_the_rounds(self, monkeypatch, mode, threshold, l):
+        # 51 rounds against 150 strict, 60 against 253 relaxed.
+        rounds = []
+        for strides in (diophantine._STRIDES, 1):
+            monkeypatch.setattr(diophantine, "_STRIDES", strides)
+            scored = _recording(monkeypatch, "_chunk_scores")
+            assert minimal_odd_l(angles_of(self.SPLIT), threshold, 9999999, mode).l == l
+            rounds.append(len(scored))
+        split, unsplit = rounds
+        assert 2 * split <= unsplit
+
+    def test_odd_denominators_cut_the_scored_l_tenfold(self, monkeypatch):
+        # gamma near 5/3 at epsilon 0.02: 3 l in 7 rounds, against 998 in 15
+        # from the b = 1 bound alone.
+        angles = angles_of(make_instance(1048576, 9, 25))
+        scored = []
+        for only_b_1 in (False, True):
+            if only_b_1:
+                monkeypatch.setattr(
+                    diophantine, "_odd_denominators", lambda gamma, b_max: np.ones((gamma.size, 1))
+                )
+            rounds = _recording(monkeypatch, "_chunk_scores")
+            assert minimal_odd_l(angles, error_bound(0.02), 10**9 + 1).l == 15298957
+            scored.append(sum(ls.size for ls, *_ in rounds))
+        bounded, from_b_1 = scored
+        assert 10 * bounded <= from_b_1

@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from groverstop import (
+    Applicability,
     PremiseViolated,
     angles_of,
     check_applicability,
@@ -11,7 +13,8 @@ from groverstop import (
     make_instance,
     pad_for_ratio,
 )
-from groverstop.transforms import l_bound_of, minimal_padding
+from groverstop.core_model import rotation_angles
+from groverstop.transforms import applicability_flags, l_bound_of, minimal_padding
 from oracles import reduce_common_divisor
 
 
@@ -148,3 +151,26 @@ class TestIterationBound:
             if prev is not None:
                 assert l_bound < prev
             prev = l_bound
+
+
+class TestApplicabilityFlags:
+    TRIPLES = [
+        (4096, 8, 12), (4096, 0, 12), (4096, 8, 2047), (4096, 8, 2048), (4096, 2047, 2048),
+        (1048576, 740, 800), (1000000, 1, 2), (65536, 12, 13),
+    ]
+
+    def test_premises_by_applicability_field(self):
+        # On columns, each premise equals the one-instance report, and the
+        # ordering premise the instance's strict_regime.
+        N, M, K = (np.array(column, dtype=np.int64) for column in zip(*self.TRIPLES))
+        flags = applicability_flags(N, K, rotation_angles(N, M, K).gamma)
+        premises = {f.name for f in fields(Applicability)} - {"epsilon_bound", "all_ok"}
+        assert set(flags) == premises
+        for i, triple in enumerate(self.TRIPLES):
+            instance = make_instance(*triple)
+            app = check_applicability(instance)
+            assert {name: bool(flag[i]) for name, flag in flags.items()} == {
+                name: getattr(app, name) for name in premises
+            }
+            assert app.ordering_ok == instance.strict_regime
+        assert {len(set(flag.tolist())) for flag in flags.values()} == {2}
