@@ -52,6 +52,7 @@ from .core_model import (
     valid_counts,
 )
 from .diophantine import (
+    _L_EXACT,
     default_horizon,
     horizon_for_bound,
     minimal_odd_l,
@@ -478,39 +479,43 @@ def _grid_counts(ns: range, ms: range, ks: range) -> np.ndarray:
 
 
 def _load_triples(path: str) -> np.ndarray:
-    """The validated int64 columns N, M, K of a --triples file.
+    """The validated int64 columns N, M, K of a --triples file, in file order.
 
     The file is read whole, as UTF-8 with universal newlines and a leading
     byte-order mark dropped; commas count as spaces.  One ``np.loadtxt``
     call parses a file of ASCII integers, three to a line, and one
     ``valid_counts`` check judges it, ``make_instance`` wording the first
     invalid row.  Any other file (a comment line, a bad token, a spelling
-    only ``int()`` takes, a value outside int64, no row at all) goes row by
-    row through ``_read_triples`` and ``_triple_columns``, which word its error.
+    only ``int()`` takes, a value outside int64, no row at all, which
+    loadtxt warns on) goes row by row through ``_read_triples`` and
+    ``_triple_columns``, which word its error.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
-    rows = None
-    if text.strip():  # loadtxt warns on a file without data
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x warns where it parses a float as an int.
-                warnings.simplefilter("error")
-                rows = np.loadtxt(
-                    io.StringIO(text.replace(",", " ")), dtype=np.int64, comments=None, ndmin=2
-                )
-        except (ValueError, OverflowError, Warning):
-            pass
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data, and numpy 1.x where it
+            # parses a float as an int.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                io.StringIO(text.replace(",", " ")), dtype=np.int64, comments=None, ndmin=2
+            )
+    except (ValueError, OverflowError, Warning):
+        rows = None
     if rows is None or rows.shape[1] != 3:
         return _triple_columns(_read_triples(text))
-    return _validated(np.ascontiguousarray(rows.T))
+    counts = np.ascontiguousarray(rows.T)
+    valid = valid_counts(*counts)
+    if not valid.all():
+        make_instance(*counts[:, valid.argmin()].tolist())  # raises
+    return counts
 
 
 def _read_triples(text: str) -> list[list[str]]:
-    """The tokens of each 'N M K' line of a text; a text with none is an input error.
+    """The tokens of each kept line of a text, in order; a text with none is an input error.
 
     Blank lines and lines that start with '#' are skipped, and commas count
-    as spaces.
+    as spaces, so a line of commas alone is kept as a row without tokens.
     """
     rows = [
         line.replace(",", " ").split()
@@ -522,47 +527,31 @@ def _read_triples(text: str) -> list[list[str]]:
     return rows
 
 
-def _validated(counts: np.ndarray) -> np.ndarray:
-    """The columns N, M, K, once ``valid_counts`` holds for every row.
-
-    Else ``make_instance`` raises the first invalid row's error.
-    """
-    valid = valid_counts(*counts)
-    if not valid.all():
-        make_instance(*counts[:, valid.argmin()].tolist())
-    return counts
-
-
 def _triple_columns(rows: Iterable[Iterable]) -> np.ndarray:
     """The validated int64 columns N, M, K of rows of three integers, in row order.
 
-    Each row must hold exactly three values, each taken by ``int()``.  The
-    first bad row, malformed or invalid, is the input error: a malformed row
-    raises its parse error, an invalid one ``make_instance``'s.  Validity is
-    judged on Python ints, so a value outside int64 is an invalid row too.
+    Each row is parsed by ``int()`` and checked by ``valid_counts`` in turn,
+    on Python ints, so the first bad row in order raises where it stands: a
+    malformed row its parse error, an invalid one (a value outside int64
+    included) ``make_instance``'s.
     """
     values: list[int] = []
-    malformed = None
     for row in rows:
-        try:
-            n, m, k = map(int, row)
-        except ValueError as exc:
-            malformed = exc
-            break
+        n, m, k = map(int, row)
+        if not valid_counts(n, m, k):
+            make_instance(n, m, k)  # raises
         values += n, m, k
-    counts = _validated(np.array(values, dtype=object).reshape(-1, 3).T)
-    if malformed:
-        raise malformed
-    return counts.astype(np.int64)
+    return np.array(values, dtype=np.int64).reshape(-1, 3).T
 
 
 def _check_l_flag(flag: str, value: int | None, odd: bool = False) -> None:
     """A flag that bounds l (--horizon, --l-max) must lie in [1, 2**53], and be odd if asked.
 
-    Past 2**53 odd l stop being exact doubles: a scan would claim a horizon
-    it did not scan, and an orbit would print rows it did not compute.
+    Past 2**53 (``_L_EXACT``, where ``scan_rows`` stops) odd l stop being
+    exact doubles: a scan would claim a horizon it did not scan, and an orbit
+    would print rows it did not compute.
     """
-    if value is not None and not (1 <= value <= 2**53 and (value % 2 or not odd)):
+    if value is not None and not (1 <= value <= _L_EXACT and (value % 2 or not odd)):
         rule = "be odd and lie" if odd else "lie"
         raise ValueError(f"{flag} must {rule} in [1, 2**53], got {value}")
 

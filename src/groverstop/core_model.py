@@ -106,8 +106,8 @@ def make_instance(N: int, M: int, K: int) -> ProblemInstance:
 def valid_counts(N, M, K):
     """Whether ``make_instance`` accepts the counts; elementwise on arrays.
 
-    Arrays of any integer dtype, object arrays of Python ints included, give a
-    bool array.  ``make_instance`` is the one place that says why a triple fails.
+    Python ints (one row of a --triples file) give a bool; int64 columns give
+    a bool array.  ``make_instance`` is the one place that says why a triple fails.
     """
     return (1 <= N) & (N <= N_ENVELOPE) & (0 <= M) & (M < K) & (K <= N)
 

@@ -5,9 +5,10 @@ The oracle and the diffusion operator are real matrices and the initial state
 is real, so amplitudes are plain float64 arrays; any imaginary component that
 showed up would be a bug, and this representation makes it unrepresentable.
 
-``simulate`` and ``run_discrimination`` refuse N above ``FULL_SIM_CAP`` = 2**22
-(one 32 MiB float64 array); larger databases are served only by the 2D
-subspace model in ``core_model``.
+``simulate`` refuses N above ``FULL_SIM_CAP`` = 2**22, where its state is one
+32 MiB float64 array; larger databases are served only by the 2D subspace
+model in ``core_model``.  ``run_discrimination`` allocates nothing N-long, but
+keeps the same cap as its contract.
 
 Each step takes the mean as the exactly rounded sum (``math.fsum``) over N,
 so the state does not depend on the order in which numpy would add the

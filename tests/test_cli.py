@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -436,6 +437,39 @@ class TestTriplesReader:
         path.write_text("4096 8 12\n4096 12 8\n")
         with pytest.raises(ValueError, match="need M < K, got M=12, K=8"):
             cli._load_triples(path)
+
+    def test_long_file_reads_alike_on_either_path(self, tmp_path, monkeypatch):
+        """4000 rows read the same by loadtxt and row by row, where the first bad
+        row in file order is the error, whether it is invalid or malformed."""
+        rng = random.Random(4000)
+        triples = []
+        for _ in range(4000):
+            N = rng.randint(1, 2 ** rng.randint(0, 48))
+            K = rng.randint(1, N)
+            triples.append((N, rng.randint(0, K - 1), K))
+        lines = [f"{N} {M} {K}" for N, M, K in triples]
+        row_by_row, taken = cli._triple_columns, []
+        monkeypatch.setattr(
+            cli, "_triple_columns", lambda rows: taken.append(1) or row_by_row(rows)
+        )
+        path = tmp_path / "rows.txt"
+        columns = []
+        for header in ([], ["# N M K"]):
+            path.write_text("".join(line + "\n" for line in header + lines))
+            columns.append(cli._load_triples(path))
+            assert len(taken) == len(header)
+        plain, fallback = columns
+        assert plain.dtype == fallback.dtype == np.int64
+        assert (plain == fallback).all() and plain.tolist() == [list(c) for c in zip(*triples)]
+        invalid = ("4096 12 8", "need M < K, got M=12, K=8")
+        malformed = ("4096 8 x", "invalid literal for int() with base 10: 'x'")
+        for first, second in ((invalid, malformed), (malformed, invalid)):
+            bad = ["# N M K"] + lines
+            bad[2999], bad[3499] = first[0], second[0]  # file lines 3000 and 3500
+            path.write_text("".join(line + "\n" for line in bad))
+            with pytest.raises(ValueError) as raised:
+                cli._load_triples(path)
+            assert str(raised.value) == first[1]
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -7,6 +7,7 @@ pinned here, and another that each writes the same bytes to an --out file.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -587,6 +588,35 @@ def test_readme_command_out_file(capsys, tmp_path, command):
     assert main([*command.split(), "--out", str(report)]) == code
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_readme_commands_leave_numpy_random_unimported(tmp_path):
+    """No README command imports numpy.random: its ~2 MiB of RSS is about 5 % of a
+    monte_carlo peak, so run_discrimination replays PCG64 without it."""
+    commands = [command.split() for command in _readme_commands()]
+    for words in commands:
+        if words[0] == "table":
+            words += ["--out", str(tmp_path / "table.csv")]
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from groverstop.cli import main\n"
+        "codes = [main(words) for words in json.loads(sys.argv[1])]\n"
+        "Path(sys.argv[2]).write_text(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = tmp_path / "result.json"
+    run = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands), str(result)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, b"")
+    codes, imported = json.loads(result.read_text())
+    pinned = {command: code for command, code, _ in GOLDEN}
+    assert codes == [pinned[command] for command in _readme_commands()]
+    assert (tmp_path / "table.csv").stat().st_size > 0
+    assert not imported
 
 
 def test_module_entry_point():
