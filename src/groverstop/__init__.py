@@ -27,6 +27,7 @@ from .diophantine import (
     target_distance,
 )
 from .statevector import (
+    Discrimination,
     DiscriminationOutcome,
     RNG_ALGORITHM,
     init_uniform,

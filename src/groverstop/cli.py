@@ -588,12 +588,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def cmd_experiment(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     instance = make_instance(args.N, args.M, args.K)
-    outcomes = {}
-    for truth in ("M", "K"):
-        outcome = run_discrimination(
-            instance, truth, args.l, args.trials, args.seed, args.epsilon
-        )
-        outcomes[truth] = asdict(outcome)
+    result = run_discrimination(instance, args.l, args.trials, args.seed, args.epsilon)
+    outcomes = {"M": asdict(result.M), "K": asdict(result.K)}
     expected = failure_probabilities(args.l, angles_of(instance))
     return EXIT_OK, _json_dump(
         {

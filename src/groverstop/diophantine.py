@@ -296,7 +296,7 @@ def _first_hits(theta_K, theta_M, threshold, starts, horizons, mode):
     while active.size:
         block = active[done : done + max(1, SCAN_CHUNK // (2 * reps * n))]
         per = SCAN_CHUNK // (block.size * n) - reps
-        (v0, v1), (u0, u1), (b0, b1) = (a.take(block, axis=1)[..., None] for a in (v, u, reach))
+        (v0, v1), (u0, u1), (b0, b1) = (a[:, block, None] for a in (v, u, reach))
         at = frontier[block, None]
         # The slower coordinate's runs, from the first that may reach the frontier.
         j = np.ceil(at * v0 + (u0 - b0)) + np.arange(reps)

@@ -6,9 +6,10 @@ is real, so amplitudes are plain float64 arrays; any imaginary component that
 showed up would be a bug, and this representation makes it unrepresentable.
 
 ``simulate`` refuses N above ``FULL_SIM_CAP`` = 2**22, where its state is one
-32 MiB float64 array; larger databases are served only by the 2D subspace
-model in ``core_model``.  ``run_discrimination`` allocates nothing N-long, but
-keeps the same cap as its contract.
+32 MiB float64 array.  ``run_discrimination`` allocates nothing N-long, so it
+takes any N up to the envelope ``N_ENVELOPE`` = 2**48; it refuses instead
+m = (l-1)/2 above ``STEP_CAP`` = 2**22 Grover steps (a few seconds of scalar
+evolution), before any state is evolved.
 
 Each step takes the mean as the exactly rounded sum (``math.fsum``) over N,
 so the state does not depend on the order in which numpy would add the
@@ -22,7 +23,9 @@ oracle the two-amplitude evolution is checked against; the single oracle
 call, Grover step and measurement the tests take on a full state live in
 ``tests/oracles.py``.  Each trial is then decided by one comparison of its
 uniform, scaled by the total probability, against the marked probability;
-both are exactly rounded sums of a*a and b*b.
+both are exactly rounded sums of a*a and b*b.  An experiment evolves the
+canonical states of both sizes, M and K, and decides both truths on each
+block of uniforms, so every uniform is computed once per experiment.
 
 RNG contract: all randomness flows through numpy's PCG64.  Per-trial streams
 are derived as default_rng(SeedSequence(entropy=seed, spawn_key=(trial,))),
@@ -51,6 +54,8 @@ from .core_model import DEFAULT_EPSILON, ProblemInstance, error_bound
 __all__ = [
     "FULL_SIM_CAP",
     "RNG_ALGORITHM",
+    "STEP_CAP",
+    "Discrimination",
     "DiscriminationOutcome",
     "init_uniform",
     "simulate",
@@ -59,6 +64,7 @@ __all__ = [
 ]
 
 FULL_SIM_CAP = 1 << 22
+STEP_CAP = 1 << 22  # largest m = (l-1)/2 an experiment evolves
 RNG_ALGORITHM = "numpy-pcg64/seedsequence(seed,(trial,))/one-uniform-per-trial"
 
 Truth = Literal["M", "K"]
@@ -72,6 +78,15 @@ class DiscriminationOutcome:
     empirical_error: float
     bound: float  # sin^2(2*pi*epsilon)
     seed: int
+
+
+@dataclass(frozen=True)
+class Discrimination:
+    """Both truths of one experiment, decided on the same uniforms."""
+
+    trials: int
+    M: DiscriminationOutcome
+    K: DiscriminationOutcome
 
 
 def init_uniform(N: int) -> np.ndarray:
@@ -93,13 +108,6 @@ def _marked_array(state_len: int, marked: Iterable[int]) -> np.ndarray:
 def _oracle(state: np.ndarray, idx: np.ndarray) -> None:
     """Flip the marked signs of ``state`` in place."""
     state[idx] = -state[idx]
-
-
-def _check_cap(N: int) -> None:
-    if N > FULL_SIM_CAP:
-        raise ValueError(
-            f"N={N} exceeds the full-simulation cap {FULL_SIM_CAP}; use the subspace model instead"
-        )
 
 
 def _exact_sum(n: int, x: float, k: int, y: float) -> float:
@@ -126,7 +134,10 @@ def simulate(N: int, marked: Iterable[int], m: int) -> np.ndarray:
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    _check_cap(N)
+    if N > FULL_SIM_CAP:
+        raise ValueError(
+            f"N={N} exceeds the full-simulation cap {FULL_SIM_CAP}; use the subspace model instead"
+        )
     idx = _marked_array(N, marked)
     state = init_uniform(N)
     for _ in range(m):
@@ -278,54 +289,56 @@ def _trial_uniforms(seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
 
 def run_discrimination(
     instance: ProblemInstance,
-    truth: Truth,
     l: int,
     trials: int,
     seed: int,
     epsilon: float = DEFAULT_EPSILON,
-) -> DiscriminationOutcome:
-    """Monte Carlo estimate of the discrimination error rate under one truth.
+) -> Discrimination:
+    """Monte Carlo estimate of the discrimination error rate under each truth.
 
-    Each trial stands for a uniformly random marked set of the true size,
-    m = (l-1)/2 iterations, one measurement, and the decision K iff the
+    Each trial stands for a uniformly random marked set of the true size, M
+    or K, m = (l-1)/2 iterations, one measurement, and the decision K iff the
     measured element is marked.  The dynamics are permutation-equivariant, so
     the decision has the same law as for the canonical set range(size): its
-    amplitudes (a, b) are evolved once by ``_canonical_state`` (equal to
-    ``simulate`` bit for bit).  Trial t draws one uniform u from
-    ``trial_rng(seed, t)``, computed for a block of trials at a time, and
-    decides K iff u * total < marked.  Here marked = size * a*a and total =
-    size * a*a + (N - size) * b*b, each the exact sum rounded once: this is
-    a measurement that searches the scaled uniform in the running sum of the
-    squared state (side="right"), with every partial sum rounded once instead
-    of step by step.  Size 0 never decides K, and size N always does, since
-    u < 1.
+    amplitudes (a, b) are evolved once per size by ``_canonical_state``
+    (equal to ``simulate`` bit for bit).  Trial t draws one uniform u from
+    ``trial_rng(seed, t)``, computed once for a block of trials at a time,
+    and under each truth decides K iff u * total < marked.  Here marked =
+    size * a*a and total = size * a*a + (N - size) * b*b, each the exact sum
+    rounded once: this is a measurement that searches the scaled uniform in
+    the running sum of the squared state (side="right"), with every partial
+    sum rounded once instead of step by step.  Size 0 never decides K, and
+    size N always does, since u < 1.  Both truths see the same uniforms, as
+    two separate runs at one seed would.  m above ``STEP_CAP`` is refused
+    before any state is evolved.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"l must be odd and >= 1, got {l}")
+    m = (l - 1) // 2
+    if m > STEP_CAP:
+        raise ValueError(
+            f"m=(l-1)/2={m} exceeds the experiment cap of {STEP_CAP} Grover steps"
+        )
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if truth not in ("M", "K"):
-        raise ValueError(f"truth must be 'M' or 'K', got {truth!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seed = int(seed)
-    _check_cap(instance.N)
     bound = error_bound(epsilon)
-    size = instance.M if truth == "M" else instance.K
-    a, b = _canonical_state(instance.N, size, (l - 1) // 2)
-    pa, pb = a * a, b * b
-    marked, total = size * pa, _exact_sum(size, pa, instance.N - size, pb)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {total!r}")
-    decided_k = sum(
-        int(np.count_nonzero(u * total < marked)) for u in _trial_uniforms(seed, 0, trials)
-    )
-    errors = decided_k if truth == "M" else trials - decided_k
-    return DiscriminationOutcome(
-        truth=truth,
-        trials=trials,
-        errors=errors,
-        empirical_error=errors / trials,
-        bound=bound,
-        seed=seed,
-    )
+    edges = []  # (marked, total) under truth M, then K
+    for size in (instance.M, instance.K):
+        a, b = _canonical_state(instance.N, size, m)
+        pa, pb = a * a, b * b
+        marked, total = size * pa, _exact_sum(size, pa, instance.N - size, pb)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"state is not normalized: |amplitudes|^2 sums to {total!r}")
+        edges.append((marked, total))
+    decided_k = [0, 0]
+    for u in _trial_uniforms(seed, 0, trials):
+        for i, (marked, total) in enumerate(edges):
+            decided_k[i] += int(np.count_nonzero(u * total < marked))
+
+    def outcome(truth: Truth, errors: int) -> DiscriminationOutcome:
+        return DiscriminationOutcome(truth, trials, errors, errors / trials, bound, seed)
+
+    return Discrimination(trials, outcome("M", decided_k[0]), outcome("K", trials - decided_k[1]))

@@ -154,16 +154,15 @@ def test_criterion_4_monte_carlo_reproduction():
         cert = certify(rule, inst)
         ok &= cert.residual_K_ok and cert.residual_M_ok and cert.l_within_bound
         fails = failure_probabilities(rule.l, angles_of(inst))
-        for truth, p in (("M", fails.fail_M), ("K", fails.fail_K)):
-            outcome = run_discrimination(inst, truth, rule.l, trials, seed=2026)
+        result = run_discrimination(inst, rule.l, trials, seed=2026)
+        for outcome, p in ((result.M, fails.fail_M), (result.K, fails.fail_K)):
             sigma = math.sqrt(p * (1.0 - p) / trials)
             within = abs(outcome.empirical_error - p) <= 4.0 * sigma
             ok &= within
-            details.append(f"{N}/{M}/{K}/{truth}:{outcome.empirical_error:.4f}~={p:.4f}")
+            details.append(f"{N}/{M}/{K}/{outcome.truth}:{outcome.empirical_error:.4f}~={p:.4f}")
     exact = make_instance(4, 0, 1)
-    for truth in ("M", "K"):
-        outcome = run_discrimination(exact, truth, 3, trials, seed=2026)
-        ok &= outcome.errors == 0
+    result = run_discrimination(exact, 3, trials, seed=2026)
+    ok &= result.M.errors == result.K.errors == 0
     verdict(4, "Monte Carlo reproduces closed-form error rates", ok, "; ".join(details[:4]) + "...")
 
 

@@ -35,6 +35,7 @@ from groverstop.cli import (
     TABLE_FIELDS, _TABLE_COLUMNS, _csv_text, _row_blocks, _triple_columns, _with_none,
     build_table_rows, main,
 )
+from groverstop.statevector import STEP_CAP
 from oracles import reduce_common_divisor
 
 
@@ -678,13 +679,22 @@ class TestExperimentCommand:
         _, b = run_cli(capsys, *args)
         assert a == b
 
-    def test_cap_advises_subspace(self, capsys):
-        code, _ = run_cli(
+    def test_cap_is_on_steps_not_N(self, capsys):
+        # No N-long array is built, so an N above FULL_SIM_CAP is served ...
+        code, out = run_cli(
             capsys,
             "experiment", "--N", str(1 << 23), "--M", "1", "--K", "2",
             "--l", "3", "--trials", "10", "--seed", "0",
         )
-        assert code == 1
+        assert (code, json.loads(out)["instance"]["N"]) == (0, 1 << 23)
+        # ... and m = (l-1)/2 above STEP_CAP is one error line and no report.
+        code = main([
+            "experiment", "--N", "4096", "--M", "8", "--K", "12",
+            "--l", str(2 * STEP_CAP + 3), "--trials", "10", "--seed", "0",
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("groverstop: error: m=") and captured.err.count("\n") == 1
 
     def test_negative_seed(self, capsys):
         code, out = run_cli(

@@ -126,6 +126,22 @@ GOLDEN = [
         0,
         "87f0b703b41bc43b0dd5888fb2528c4b01782c2efe61318ce2fa84f573143f99",
     ),
+    # Recorded while each truth drew its own uniforms: two blocks of the
+    # draw, the second a partial one.
+    (
+        "experiment --N 4096 --M 8 --K 12 --l 79 --trials 16389 --seed 1001",
+        0,
+        "2478c886ecbd224f4f39cffe73e599ccd3ddfb7f247fba5d8c77b26db0240451",
+    ),
+    # The paper's scale, past the full-simulation cap: the certified rule of
+    # rule --N 1099511627776 --M 1000000 --K 1081600.  The same bytes came
+    # from the per-truth experiment with its N cap lifted.
+    (
+        "experiment --N 1099511627776 --M 1000000 --K 1081600 --l 46123 --trials 200000"
+        " --seed 1001",
+        0,
+        "8cc940105571d93746c5b1d4fd7c2f7c992ed1f5759fb595b07ac672b89018c3",
+    ),
     # Recorded while the mean was numpy's pairwise sum, before it became the
     # exactly rounded sum: long runs of m steps, where the two means drift
     # apart the most, at the cap, at one marked element and at a prime N.

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from groverstop import (
     angles_of,
+    cli,
     failure_probabilities,
     half_angle,
     init_uniform,
@@ -20,6 +22,7 @@ import groverstop.statevector as sv
 from groverstop.statevector import (
     _TRIAL_BLOCK,
     FULL_SIM_CAP,
+    STEP_CAP,
     _canonical_state,
     _trial_uniforms,
     trial_rng,
@@ -331,12 +334,16 @@ def _reference_decided_k(cum, size, u) -> int:
 
 
 def _decided_k(monkeypatch, N, size, amplitudes, u) -> int:
-    """How many uniforms ``u`` run_discrimination decides K on, for the state (a, b)."""
-    monkeypatch.setattr(sv, "_canonical_state", lambda *_: amplitudes)
+    """How many uniforms ``u`` run_discrimination decides K on, for the state (a, b).
+
+    The other size of the instance gets the uniform state, which is normalized.
+    """
+    uniform = (1.0 / math.sqrt(N),) * 2
+    monkeypatch.setattr(sv, "_canonical_state", lambda _, s, __: amplitudes if s == size else uniform)
     monkeypatch.setattr(sv, "_trial_uniforms", lambda *_: iter([u]))
     if size == 0:
-        return run_discrimination(make_instance(N, 0, N), "M", 1, len(u), seed=0).errors
-    return len(u) - run_discrimination(make_instance(N, 0, size), "K", 1, len(u), seed=0).errors
+        return run_discrimination(make_instance(N, 0, N), 1, len(u), seed=0).M.errors
+    return len(u) - run_discrimination(make_instance(N, 0, size), 1, len(u), seed=0).K.errors
 
 
 class TestDecidesK:
@@ -469,17 +476,57 @@ def _record_state_evolutions(monkeypatch) -> list[tuple]:
     return evolved
 
 
+def _binomial_tails(n: int, p: float, k: int) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p), summed term by term."""
+    log_n, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+
+    def pmf(i):
+        log_choose = log_n - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+        return math.exp(log_choose + i * log_p + (n - i) * log_q)
+
+    return math.fsum(map(pmf, range(k + 1))), math.fsum(map(pmf, range(k, n + 1)))
+
+
 class TestRunDiscrimination:
+    def test_uniforms_are_drawn_once_per_experiment(self, monkeypatch, capsys):
+        # 2**14 + 5 trials are two blocks of the draw, taken once for both truths.
+        blocks = []
+        real = sv._uniforms
+
+        def spy(seed_words, trials):
+            blocks.append(trials.size)
+            return real(seed_words, trials)
+
+        monkeypatch.setattr(sv, "_uniforms", spy)
+        argv = "experiment --N 4096 --M 8 --K 12 --l 79 --trials 16389 --seed 1001"
+        assert cli.main(argv.split()) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert blocks == [_TRIAL_BLOCK, 5]
+        assert [report["outcomes"][t]["trials"] for t in "MK"] == [16389, 16389]
+
+    def test_paper_scale_both_tails(self):
+        # N = 2**40 on its certified rule (l = 46123): each truth's error count
+        # lies inside both exact binomial tails of the closed-form rate.  Where
+        # fail_M is 1.6e-5, 200000 trials expect 3.2 errors, too few for a
+        # normal bound.  The seed was fixed before the experiment ran.
+        inst = make_instance(2**40, 1_000_000, 1_081_600)
+        l, trials = 46123, 200_000
+        fails = failure_probabilities(l, angles_of(inst))
+        a, b = _canonical_state(inst.N, inst.M, (l - 1) // 2)
+        assert inst.M * a * a == pytest.approx(fails.fail_M, rel=1e-9)
+        result = run_discrimination(inst, l, trials, seed=4040)
+        for outcome, p in ((result.M, fails.fail_M), (result.K, fails.fail_K)):
+            below, above = _binomial_tails(trials, p, outcome.errors)
+            assert min(below, above) > 1e-4, (outcome, p, below, above)
+
     def test_exact_case_zero_errors(self):
-        inst = make_instance(4, 0, 1)
-        for truth in ("M", "K"):
-            outcome = run_discrimination(inst, truth, 3, 2000, seed=1)
-            assert outcome.errors == 0
+        result = run_discrimination(make_instance(4, 0, 1), 3, 2000, seed=1)
+        assert (result.trials, result.M.errors, result.K.errors) == (2000, 0, 0)
 
     def test_same_seed_reproducible(self):
         inst = make_instance(256, 4, 6)
-        a = run_discrimination(inst, "K", 21, 500, seed=42)
-        b = run_discrimination(inst, "K", 21, 500, seed=42)
+        a = run_discrimination(inst, 21, 500, seed=42)
+        b = run_discrimination(inst, 21, 500, seed=42)
         assert a == b
 
     def test_matches_closed_form_within_4_sigma(self):
@@ -490,8 +537,8 @@ class TestRunDiscrimination:
         rule = construct_rule(inst)
         fails = failure_probabilities(rule.l, angles_of(inst))
         trials = 4000
-        for truth, p in (("M", fails.fail_M), ("K", fails.fail_K)):
-            outcome = run_discrimination(inst, truth, rule.l, trials, seed=7)
+        result = run_discrimination(inst, rule.l, trials, seed=7)
+        for outcome, p in ((result.M, fails.fail_M), (result.K, fails.fail_K)):
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(outcome.empirical_error - p) <= 4 * sigma + 1e-12
 
@@ -500,25 +547,28 @@ class TestRunDiscrimination:
         # state on trial_rng(seed, t), and nothing else draws from that stream.
         inst = make_instance(64, 2, 4)
         l, trials, seed = 7, 300, 5
-        for truth, size in (("M", inst.M), ("K", inst.K)):
+        result = run_discrimination(inst, l, trials, seed)
+        for outcome, size in ((result.M, inst.M), (result.K, inst.K)):
             state = simulate(inst.N, range(size), (l - 1) // 2)
             decided = ["K" if measure(state, trial_rng(seed, t)) < size else "M"
                        for t in range(trials)]
-            wrong = sum(d != truth for d in decided)
-            outcome = run_discrimination(inst, truth, l, trials, seed)
+            wrong = sum(d != outcome.truth for d in decided)
             assert 0 < outcome.errors == wrong < trials
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        evolved = _record_state_evolutions(monkeypatch)
         inst = make_instance(256, 4, 6)
         with pytest.raises(ValueError):
-            run_discrimination(inst, "M", 4, 10, seed=0)
+            run_discrimination(inst, 4, 10, seed=0)
         with pytest.raises(ValueError):
-            run_discrimination(inst, "M", 3, 0, seed=0)
-        with pytest.raises(ValueError):
-            run_discrimination(inst, "X", 3, 10, seed=0)
+            run_discrimination(inst, 3, 0, seed=0)
+        # The cap is on m = (l-1)/2, not on N, and holds before any state is evolved.
+        with pytest.raises(ValueError, match="exceeds the experiment cap"):
+            run_discrimination(inst, 2 * STEP_CAP + 3, 10, seed=0)
+        assert evolved == []
         big = make_instance(FULL_SIM_CAP * 2, 1, 2)
-        with pytest.raises(ValueError):
-            run_discrimination(big, "M", 3, 10, seed=0)
+        assert run_discrimination(big, 3, 10, seed=0).trials == 10
+        assert evolved == [(FULL_SIM_CAP * 2, 1, 1), (FULL_SIM_CAP * 2, 2, 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -540,12 +590,13 @@ class TestRunDiscrimination:
         K = data.draw(st.integers(1, N))
         inst = make_instance(N, data.draw(st.integers(0, K - 1)), K)
         u = np.array([trial_rng(seed, t).random() for t in range(trials)])
-        for truth, size in (("M", inst.M), ("K", inst.K)):
+        result = run_discrimination(inst, 2 * m + 1, trials, seed)
+        for outcome, size in ((result.M, inst.M), (result.K, inst.K)):
             probs = simulate(N, range(size), m) ** 2
             cum = np.cumsum(probs)
             index = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), N - 1)
-            errors = run_discrimination(inst, truth, 2 * m + 1, trials, seed).errors
-            decided_k = errors if truth == "M" else trials - errors
+            errors = outcome.errors
+            decided_k = errors if outcome.truth == "M" else trials - errors
             # u * total < marked is monotone in u: K on the decided_k smallest uniforms.
             ours_k = u < np.append(np.sort(u), 1.0)[decided_k]
             assert np.count_nonzero(ours_k) == decided_k
@@ -567,44 +618,44 @@ class TestRunDiscrimination:
         K = data.draw(st.integers(1, N))
         inst = make_instance(N, data.draw(st.integers(0, K - 1)), K)
         u = np.array([trial_rng(seed, t).random() for t in range(trials)])
-        for truth, size in (("M", inst.M), ("K", inst.K)):
+        result = run_discrimination(inst, 2 * m + 1, trials, seed)
+        for outcome, size in ((result.M, inst.M), (result.K, inst.K)):
             cum = _exact_cum((simulate(N, range(size), m) ** 2).tolist())
             decided_k = _reference_decided_k(cum, size, u)
-            errors = decided_k if truth == "M" else trials - decided_k
-            assert run_discrimination(inst, truth, 2 * m + 1, trials, seed).errors == errors
+            errors = decided_k if outcome.truth == "M" else trials - decided_k
+            assert outcome.errors == errors
 
     def test_no_n_long_allocation_at_the_cap(self):
         # One float64 array of N = FULL_SIM_CAP amplitudes is 32 MiB.
         inst = make_instance(FULL_SIM_CAP, 37, 41)
-        for truth in ("M", "K"):
-            tracemalloc.start()
-            try:
-                run_discrimination(inst, truth, 10571, 2000, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 << 20
+        tracemalloc.start()
+        try:
+            run_discrimination(inst, 10571, 2000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
     def test_bad_seed_rejected_before_simulation(self, monkeypatch, seed):
         evolved = _record_state_evolutions(monkeypatch)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=seed)
+            run_discrimination(make_instance(256, 4, 6), 3, 10, seed=seed)
         assert evolved == []
-        run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=0)
-        assert evolved == [(256, 4, 1)]  # the patched function is the one in use
+        run_discrimination(make_instance(256, 4, 6), 3, 10, seed=0)
+        assert evolved == [(256, 4, 1), (256, 6, 1)]  # the patched function is the one in use
 
     def test_numpy_integer_seed(self):
         inst = make_instance(256, 4, 6)
-        outcome = run_discrimination(inst, "K", 21, 200, seed=np.uint64(42))
-        assert outcome == run_discrimination(inst, "K", 21, 200, seed=42)
-        assert type(outcome.seed) is int and type(outcome.errors) is int
+        result = run_discrimination(inst, 21, 200, seed=np.uint64(42))
+        assert result == run_discrimination(inst, 21, 200, seed=42)
+        assert type(result.K.seed) is int and type(result.K.errors) is int
 
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, math.inf])
     def test_bad_epsilon_rejected_before_any_trial(self, monkeypatch, epsilon):
         evolved = _record_state_evolutions(monkeypatch)
         with pytest.raises(ValueError, match="epsilon"):
-            run_discrimination(make_instance(256, 4, 6), "M", 3, 10, seed=0, epsilon=epsilon)
+            run_discrimination(make_instance(256, 4, 6), 3, 10, seed=0, epsilon=epsilon)
         assert evolved == []
-        run_discrimination(make_instance(256, 4, 6), "K", 5, 10, seed=0, epsilon=0.1)
-        assert evolved == [(256, 6, 2)]  # the patched function is the one in use
+        run_discrimination(make_instance(256, 4, 6), 5, 10, seed=0, epsilon=0.1)
+        assert evolved == [(256, 4, 2), (256, 6, 2)]  # the patched function is the one in use
